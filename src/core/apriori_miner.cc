@@ -9,46 +9,13 @@
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "parallel/segment_scan.h"
 #include "util/cancellation.h"
 #include "util/log.h"
 
 namespace ppm {
 
 namespace {
-
-/// Scans the source once and fills `candidate->count` for every candidate:
-/// a candidate is counted in each whole period segment whose letter mask is
-/// a superset of the candidate's mask. Polls `interrupt` once per stride of
-/// whole segments.
-Status CountCandidatesByScan(tsdb::SeriesSource& source,
-                             const F1ScanResult& f1, const Interrupt& interrupt,
-                             std::vector<LevelEntry>* candidates) {
-  PPM_RETURN_IF_ERROR(source.StartScan());
-  const uint32_t period = f1.space.period();
-  const uint64_t covered = f1.num_periods * period;
-  const uint64_t check_stride = uint64_t{1024} * period;
-
-  Bitset segment_mask(f1.space.size());
-  tsdb::FeatureSet instant;
-  uint64_t t = 0;
-  while (t < covered && source.Next(&instant)) {
-    const uint32_t position = static_cast<uint32_t>(t % period);
-    if (t % check_stride == 0) PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    if (position == 0) segment_mask.Reset();
-    f1.space.AccumulatePosition(position, instant, &segment_mask);
-    if (position == period - 1) {
-      for (LevelEntry& candidate : *candidates) {
-        if (candidate.mask.IsSubsetOf(segment_mask)) ++candidate.count;
-      }
-    }
-    ++t;
-  }
-  PPM_RETURN_IF_ERROR(source.status());
-  if (t < covered) {
-    return Status::Internal("source ended before its declared length");
-  }
-  return Status::OK();
-}
 
 void EmitLevel(const F1ScanResult& f1, const std::vector<LevelEntry>& level,
                MiningResult* result) {
@@ -83,6 +50,11 @@ Result<MiningResult> MineApriori(tsdb::SeriesSource& source,
   result.stats().num_f1_letters = f1.space.size();
   result.stats().num_periods = f1.num_periods;
 
+  // The level scans stream at one thread whatever `options.num_threads`:
+  // Apriori is the reference miner, not a parallel one.
+  parallel::SegmentScan scan(source, {options.period}, 1, interrupt);
+  Bitset segment_mask(f1.space.size());
+
   std::vector<LevelEntry> frequent = MakeLevelOne(f1.letter_counts);
   if (!frequent.empty()) result.stats().max_level_reached = 1;
   EmitLevel(f1, frequent, &result);
@@ -97,15 +69,17 @@ Result<MiningResult> MineApriori(tsdb::SeriesSource& source,
     candidates_counted.Inc(candidates.size());
     RecordLevelCandidates("ppm.apriori", level, candidates.size());
 
-    {
-      const obs::TraceSpan scan_span =
-          obs::Tracer::Global().StartSpan("level_scan");
-      level_scans.Inc();
-      RecordDbPass("level_scan", f1.num_periods * f1.space.period(),
-                   f1.num_periods);
-      PPM_RETURN_IF_ERROR(
-          CountCandidatesByScan(source, f1, interrupt, &candidates));
-    }
+    // A candidate is counted in each whole period segment whose letter
+    // mask is a superset of the candidate's mask.
+    level_scans.Inc();
+    PPM_RETURN_IF_ERROR(scan.Run(
+        "level_scan", [&f1, &segment_mask,
+                       &candidates](const parallel::Segment& segment) {
+          f1.space.SegmentMask(segment.instants, &segment_mask);
+          for (LevelEntry& candidate : candidates) {
+            if (candidate.mask.IsSubsetOf(segment_mask)) ++candidate.count;
+          }
+        }));
 
     std::vector<LevelEntry> next;
     for (LevelEntry& candidate : candidates) {

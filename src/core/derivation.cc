@@ -34,7 +34,7 @@ DerivationStats DeriveFrequentPatterns(
   const obs::TraceSpan span = obs::Tracer::Global().StartSpan("derivation");
   obs::Counter count_queries =
       obs::MetricsRegistry::Global().GetCounter("ppm.derivation.count_queries");
-  // Candidates evaluated between interrupt polls on the sequential path.
+  // Candidates evaluated between interrupt polls within a chunk.
   constexpr uint64_t kCheckStride = 512;
   DerivationStats stats;
   stats.status = interrupt.Check();
@@ -76,37 +76,26 @@ DerivationStats DeriveFrequentPatterns(
       }
     }
 
-    if (pool != nullptr && pool->size() > 1 && candidates.size() > 1) {
-      // Partition this level's slice of the candidate lattice across the
-      // workers. Each worker writes counts only into its own disjoint slice
-      // of `candidates`, so no synchronization is needed, and the filtering
-      // below runs in candidate order regardless of scheduling. Workers
-      // cannot return a `Status`, so on interruption they drop their
-      // remaining chunks and the main thread notices after the join.
-      parallel::ShardTimings timings = parallel::ShardedRun(
-          *pool, candidates.size(), "derivation",
-          [&candidates, &count_fn, &interrupt](const ThreadPool::Chunk& chunk) {
-            if (interrupt.ShouldStop()) return;
-            for (uint64_t i = chunk.begin; i < chunk.end; ++i) {
-              candidates[i].count = count_fn(candidates[i].mask);
+    // Each chunk writes counts only into its own disjoint slice of
+    // `candidates`, so no synchronization is needed, and the filtering
+    // below runs in candidate order regardless of scheduling. Workers
+    // cannot return a `Status`, so on interruption they drop the rest of
+    // their chunk and the interrupt is re-checked after the join.
+    parallel::ShardTimings timings = parallel::ShardedRun(
+        pool, candidates.size(), "derivation",
+        [&candidates, &count_fn, &interrupt](const ThreadPool::Chunk& chunk) {
+          for (uint64_t i = chunk.begin; i < chunk.end; ++i) {
+            if (i > chunk.begin && (i - chunk.begin) % kCheckStride == 0 &&
+                interrupt.ShouldStop()) {
+              return;
             }
-          },
-          interrupt);
-      parallel::RecordShardMetrics(timings);
-      stats.candidates_evaluated += candidates.size();
-      count_queries.Inc(candidates.size());
-    } else {
-      uint64_t since_check = 0;
-      for (LevelEntry& candidate : candidates) {
-        if (++since_check >= kCheckStride) {
-          since_check = 0;
-          if (interrupt.ShouldStop()) break;
-        }
-        ++stats.candidates_evaluated;
-        count_queries.Inc();
-        candidate.count = count_fn(candidate.mask);
-      }
-    }
+            candidates[i].count = count_fn(candidates[i].mask);
+          }
+        },
+        interrupt);
+    parallel::RecordShardMetrics(timings);
+    stats.candidates_evaluated += candidates.size();
+    count_queries.Inc(candidates.size());
     stats.status = interrupt.Check();
     if (!stats.status.ok()) {
       if (budget != nullptr) budget->Release(charged);

@@ -31,14 +31,15 @@ struct DerivationStats {
 /// `HitStore::CountSuperpatterns`). Stops at `max_letters` levels when
 /// nonzero. Appends patterns to `*result` (unsorted; callers canonicalize).
 ///
-/// When `pool` is non-null, each level's candidates -- a slice of the
-/// subpattern lattice of `C_max` -- are partitioned across the workers and
-/// counted concurrently; `count_fn` must then be safe for concurrent calls
-/// (both hit stores are, once scan 2 finished). Candidate generation,
-/// filtering, and emission stay on the calling thread in candidate order,
-/// so the output is identical at any worker count.
+/// Each level's candidates -- a slice of the subpattern lattice of `C_max`
+/// -- are counted in chunks: inline as one chunk when `pool` is null,
+/// otherwise partitioned across the workers, in which case `count_fn` must
+/// be safe for concurrent calls (both hit stores are, once scan 2
+/// finished). Candidate generation, filtering, and emission stay on the
+/// calling thread in candidate order, so the output is identical at any
+/// worker count.
 ///
-/// `interrupt` is polled between levels and every few hundred candidates;
+/// `interrupt` is polled between levels and every 512 candidates of a chunk;
 /// when it fires the run stops and `DerivationStats::status` carries the
 /// reason. `budget`, when non-null, is charged for each level's candidate
 /// table (released when the level retires); a failed charge stops the run

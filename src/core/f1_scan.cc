@@ -1,46 +1,19 @@
 #include "core/f1_scan.h"
 
-#include <map>
 #include <utility>
 
 #include "core/fault_metrics.h"
-#include "core/scan_accounting.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "parallel/materialize.h"
-#include "parallel/shard.h"
 #include "util/log.h"
 
 namespace ppm {
 
 namespace {
 
-/// Per-position letter counts. An ordered map per position keeps letters in
-/// canonical (feature ascending) order for free.
-using CountTable = std::vector<std::map<tsdb::FeatureId, uint64_t>>;
-
-/// Segments counted between interrupt polls (never per instant).
-constexpr uint64_t kSegmentCheckStride = 1024;
-
-/// Counts the letters of segments `[seg_begin, seg_end)` into `*counts`,
-/// stopping early (with a partial table) once `interrupt` fires. Callers
-/// re-check the interrupt and discard partial tables.
-void CountSegments(const std::vector<tsdb::FeatureSet>& instants,
-                   uint32_t period, uint64_t seg_begin, uint64_t seg_end,
-                   const Interrupt& interrupt, CountTable* counts) {
-  for (uint64_t segment = seg_begin; segment < seg_end; ++segment) {
-    if ((segment - seg_begin) % kSegmentCheckStride == 0 &&
-        interrupt.ShouldStop()) {
-      return;
-    }
-    const uint64_t base = segment * period;
-    for (uint32_t position = 0; position < period; ++position) {
-      auto& position_counts = (*counts)[position];
-      instants[base + position].ForEach(
-          [&position_counts](uint32_t feature) { ++position_counts[feature]; });
-    }
-  }
-}
+/// Per-position letter counts, dense by feature id (a row grows to the
+/// largest feature seen at its position). Walking a row in index order
+/// yields letters in canonical (feature ascending) order.
+using CountTable = std::vector<std::vector<uint64_t>>;
 
 /// Thresholds and filters a finished count table into an `F1ScanResult`.
 F1ScanResult FinishF1(const CountTable& counts, const MiningOptions& options,
@@ -53,8 +26,10 @@ F1ScanResult FinishF1(const CountTable& counts, const MiningOptions& options,
   std::vector<uint64_t> letter_counts;
   uint64_t letters_seen = 0;
   for (uint32_t position = 0; position < options.period; ++position) {
-    letters_seen += counts[position].size();
-    for (const auto& [feature, count] : counts[position]) {
+    const std::vector<uint64_t>& row = counts[position];
+    for (tsdb::FeatureId feature = 0; feature < row.size(); ++feature) {
+      const uint64_t count = row[feature];
+      if (count > 0) ++letters_seen;
       if (count < result.min_count) continue;
       if (options.letter_filter && !options.letter_filter(position, feature)) {
         continue;
@@ -63,14 +38,12 @@ F1ScanResult FinishF1(const CountTable& counts, const MiningOptions& options,
       letter_counts.push_back(count);
     }
   }
-  // FinishF1 runs exactly once per F1 build on both the sequential and
-  // sharded paths, so it is the single accounting site for the first pass.
-  RecordDbPass("f1_scan", num_periods * options.period, num_periods);
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetGauge("ppm.f1.letters_seen").Set(letters_seen);
   registry.GetGauge("ppm.f1.letters_frequent").Set(letters.size());
   PPM_LOG(kDebug) << "f1 scan: " << letters.size() << " frequent of "
-                  << letters_seen << " seen letters, m=" << num_periods
+                  << letters_seen << " seen letters, p=" << options.period
+                  << ", m=" << num_periods
                   << ", min_count=" << result.min_count;
   result.space = LetterSpace(options.period, std::move(letters));
   result.letter_counts = std::move(letter_counts);
@@ -79,47 +52,50 @@ F1ScanResult FinishF1(const CountTable& counts, const MiningOptions& options,
 
 }  // namespace
 
-F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
-                                 const MiningOptions& options,
-                                 ThreadPool* pool) {
-  const obs::TraceSpan span = obs::Tracer::Global().StartSpan("f1_scan");
-  const uint64_t num_periods = instants.size() / options.period;
-  const Interrupt interrupt = options.interrupt();
-
-  if (pool == nullptr || pool->size() <= 1 || num_periods <= 1) {
-    CountTable counts(options.period);
-    CountSegments(instants, options.period, 0, num_periods, interrupt,
-                  &counts);
-    return FinishF1(counts, options, num_periods);
+Result<std::vector<F1ScanResult>> ScanForF1(parallel::SegmentScan& scan,
+                                            const std::string& phase,
+                                            const MiningOptions& options) {
+  // counts[chunk][r]: chunk-private letter counts of period r.
+  std::vector<std::vector<CountTable>> counts(scan.num_chunks());
+  for (std::vector<CountTable>& tables : counts) {
+    for (const uint32_t period : scan.periods()) tables.emplace_back(period);
   }
-
-  // Sharded count: one private table per chunk of whole segments, summed in
-  // chunk order afterwards. Letter counts are additive over disjoint
-  // segments, so the merged table equals the sequential one exactly.
-  std::vector<CountTable> shard_counts(pool->size());
-  for (CountTable& table : shard_counts) table.resize(options.period);
-  parallel::ShardTimings timings = parallel::ShardedRun(
-      *pool, num_periods, "f1_scan",
-      [&instants, &options, &shard_counts,
-       &interrupt](const ThreadPool::Chunk& chunk) {
-        CountSegments(instants, options.period, chunk.begin, chunk.end,
-                      interrupt, &shard_counts[chunk.index]);
+  PPM_RETURN_IF_ERROR(scan.Run(
+      phase,
+      [&counts](const parallel::Segment& segment) {
+        CountTable& table = counts[segment.chunk][segment.period_index];
+        for (size_t position = 0; position < table.size(); ++position) {
+          std::vector<uint64_t>& row = table[position];
+          segment.instants[position].ForEach([&row](uint32_t feature) {
+            if (feature >= row.size()) row.resize(feature + 1, 0);
+            ++row[feature];
+          });
+        }
       },
-      interrupt);
+      // Letter counts are additive over disjoint segments, so the merged
+      // tables equal a one-chunk count exactly.
+      [&counts](uint32_t chunk) {
+        for (size_t r = 0; r < counts[0].size(); ++r) {
+          for (size_t position = 0; position < counts[0][r].size();
+               ++position) {
+            std::vector<uint64_t>& into = counts[0][r][position];
+            const std::vector<uint64_t>& from = counts[chunk][r][position];
+            if (from.size() > into.size()) into.resize(from.size(), 0);
+            for (size_t feature = 0; feature < from.size(); ++feature) {
+              into[feature] += from[feature];
+            }
+          }
+        }
+      }));
 
-  obs::TraceSpan merge_span = obs::Tracer::Global().StartSpan("f1_scan.merge");
-  CountTable& merged = shard_counts[0];
-  for (uint32_t c = 1; c < shard_counts.size(); ++c) {
-    for (uint32_t position = 0; position < options.period; ++position) {
-      for (const auto& [feature, count] : shard_counts[c][position]) {
-        merged[position][feature] += count;
-      }
-    }
+  std::vector<F1ScanResult> f1;
+  for (uint32_t r = 0; r < scan.periods().size(); ++r) {
+    MiningOptions period_options = options;
+    period_options.period = scan.periods()[r];
+    f1.push_back(
+        FinishF1(counts[0][r], period_options, scan.num_segments(r)));
   }
-  merge_span.End();
-  timings.merge_seconds = merge_span.ElapsedSeconds();
-  parallel::RecordShardMetrics(timings);
-  return FinishF1(merged, options, num_periods);
+  return f1;
 }
 
 Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
@@ -127,42 +103,11 @@ Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
   PPM_RETURN_IF_ERROR(options.Validate(source.length()));
   const Interrupt interrupt = options.interrupt();
   PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-
-  const uint32_t threads = ResolveThreadCount(options.num_threads);
-  const uint64_t num_periods = source.length() / options.period;
-  if (threads > 1 && num_periods > 1) {
-    PPM_ASSIGN_OR_RETURN(
-        const std::vector<tsdb::FeatureSet> instants,
-        parallel::MaterializePrefix(source, num_periods * options.period));
-    ThreadPool pool(threads);
-    F1ScanResult f1 = BuildF1FromInstants(instants, options, &pool);
-    // Workers bail on interruption, leaving a partial count table; discard
-    // it rather than report letters with understated counts.
-    PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    return f1;
-  }
-
-  const obs::TraceSpan span = obs::Tracer::Global().StartSpan("f1_scan");
-  CountTable counts(options.period);
-
-  PPM_RETURN_IF_ERROR(source.StartScan());
-  const uint64_t covered = num_periods * options.period;
-  // Poll the interrupt once per stride of instants, not per instant.
-  const uint64_t check_stride = kSegmentCheckStride * options.period;
-  tsdb::FeatureSet instant;
-  uint64_t t = 0;
-  while (t < covered && source.Next(&instant)) {
-    if (t % check_stride == 0) PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    auto& position_counts = counts[t % options.period];
-    instant.ForEach(
-        [&position_counts](uint32_t feature) { ++position_counts[feature]; });
-    ++t;
-  }
-  PPM_RETURN_IF_ERROR(source.status());
-  if (t < covered) {
-    return Status::Internal("source ended before its declared length");
-  }
-  return FinishF1(counts, options, num_periods);
+  parallel::SegmentScan scan(source, {options.period}, options.num_threads,
+                             interrupt);
+  PPM_ASSIGN_OR_RETURN(std::vector<F1ScanResult> f1,
+                       ScanForF1(scan, "f1_scan", options));
+  return std::move(f1[0]);
 }
 
 }  // namespace ppm

@@ -2,13 +2,14 @@
 #define PPM_CORE_F1_SCAN_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/letter_space.h"
 #include "core/mining_options.h"
+#include "parallel/segment_scan.h"
 #include "tsdb/series_source.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace ppm {
 
@@ -31,26 +32,18 @@ struct F1ScanResult {
 ///
 /// Honors `options.letter_filter` (filtered letters are dropped regardless
 /// of count). Fails when `options` are invalid for the source length or on
-/// source I/O errors.
-///
-/// With `options.num_threads` resolving to more than one worker, the
-/// covered prefix is materialized (still one scan) and the counting is
-/// sharded over whole period segments; the letter counts -- and therefore
-/// the resulting `F_1` -- are identical to the sequential scan.
+/// source I/O errors. The scan goes through a `parallel::SegmentScan` with
+/// `options.num_threads` workers; the letter counts -- and therefore the
+/// resulting `F_1` -- are identical at any thread count.
 Result<F1ScanResult> ScanForF1(tsdb::SeriesSource& source,
                                const MiningOptions& options);
 
-/// Core of the first scan over already-materialized instants: counts
-/// letters over the `instants.size() / options.period` whole segments and
-/// applies the threshold and `options.letter_filter`.
-///
-/// When `pool` is non-null its workers each count a private table over a
-/// contiguous shard of segments; the tables are summed on the calling
-/// thread in chunk order, making the result identical to a sequential
-/// count. `options` must already be validated against the series length.
-F1ScanResult BuildF1FromInstants(const std::vector<tsdb::FeatureSet>& instants,
-                                 const MiningOptions& options,
-                                 ThreadPool* pool = nullptr);
+/// The first-scan pass over every period of `scan` at once, named `phase`:
+/// one `F_1` per period, in the driver's period order. `options` must be
+/// validated; its `period` is replaced by each period in turn.
+Result<std::vector<F1ScanResult>> ScanForF1(parallel::SegmentScan& scan,
+                                            const std::string& phase,
+                                            const MiningOptions& options);
 
 }  // namespace ppm
 

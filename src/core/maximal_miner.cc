@@ -8,7 +8,8 @@
 #include "core/f1_scan.h"
 #include "core/fault_metrics.h"
 #include "core/hit_store.h"
-#include "core/scan_accounting.h"
+#include "core/hitset_miner.h"
+#include "parallel/segment_scan.h"
 #include "util/cancellation.h"
 #include "util/stopwatch.h"
 
@@ -140,31 +141,12 @@ Result<MiningResult> MineMaximalHitSet(tsdb::SeriesSource& source,
   PPM_ASSIGN_OR_RETURN(
       const BudgetDecision budgeted,
       DecideHitStore(options, f1.num_periods, f1.space.size()));
-  std::unique_ptr<HitStore> store =
-      MakeHitStore(budgeted.store, f1.space.full_mask(), f1.space.size());
-
-  PPM_RETURN_IF_ERROR(source.StartScan());
-  const uint32_t period = options.period;
-  const uint64_t covered = f1.num_periods * period;
-  const uint64_t check_stride = uint64_t{1024} * period;
-  Bitset segment_mask(f1.space.size());
-  tsdb::FeatureSet instant;
-  uint64_t t = 0;
-  while (t < covered && source.Next(&instant)) {
-    const uint32_t position = static_cast<uint32_t>(t % period);
-    if (t % check_stride == 0) PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-    if (position == 0) segment_mask.Reset();
-    f1.space.AccumulatePosition(position, instant, &segment_mask);
-    if (position == period - 1 && segment_mask.Count() >= 2) {
-      store->AddHit(segment_mask);
-    }
-    ++t;
-  }
-  PPM_RETURN_IF_ERROR(source.status());
-  if (t < covered) {
-    return Status::Internal("source ended before its declared length");
-  }
-  RecordDbPass("second_scan", covered, f1.num_periods);
+  // The hit pass streams at one thread whatever `options.num_threads`.
+  parallel::SegmentScan scan(source, {options.period}, 1, interrupt);
+  PPM_ASSIGN_OR_RETURN(
+      const std::vector<std::unique_ptr<HitStore>> stores,
+      RegisterHits(scan, "second_scan", {f1}, {budgeted.store}));
+  const std::unique_ptr<HitStore>& store = stores[0];
 
   MaximalSearch search(f1, *store, options.max_letters, interrupt);
   auto maximal = search.Run();

@@ -50,14 +50,14 @@ struct MiningOptions {
   /// Hit store used by the hit-set miner; ignored by other miners.
   HitStoreKind hit_store = HitStoreKind::kMaxSubpatternTree;
 
-  /// Worker threads for the hit-set and multi-period miners. 1 (the
-  /// default) runs the exact sequential code paths; 0 means "use the
-  /// hardware concurrency"; anything larger shards the scans, the
-  /// derivation, and the per-period loop across a thread pool (see
-  /// docs/PARALLELISM.md). Mined patterns and counts are identical at any
-  /// thread count; scan accounting differs (sharded runs materialize the
-  /// series once instead of re-scanning it). Ignored by the reference
-  /// (naive/apriori) miners.
+  /// Worker threads for the mining passes (`parallel::SegmentScan`). 1
+  /// (the default) streams the source once per pass; 0 means "use the
+  /// hardware concurrency"; anything larger materializes the series once
+  /// and splits every pass, the derivation, and the looped per-period
+  /// mines across a thread pool (see docs/PARALLELISM.md). Mined patterns,
+  /// counts, and `ppm.scan.db_passes` are identical at any thread count;
+  /// only the physical scans differ (one materializing scan instead of one
+  /// per pass). The reference miners use it for their F_1 scan only.
   uint32_t num_threads = 1;
 
   /// Cooperative cancellation: miners poll this token at segment / level

@@ -17,7 +17,7 @@ struct MultiPeriodResult {
   /// One entry per period, ascending: `(period, patterns of that period)`.
   std::vector<std::pair<uint32_t, MiningResult>> per_period;
   /// Scans of the series across the whole run: `2 * k` for the looped
-  /// method, 2 for the shared method.
+  /// method, 2 for the shared method; 1 for either above one thread.
   uint64_t total_scans = 0;
   double elapsed_seconds = 0.0;
 

@@ -13,12 +13,13 @@ namespace ppm {
 ///
 /// A "pass" is an algorithm-level traversal of the time series -- the F1
 /// counting scan, the hit-registration scan, or one Apriori level scan --
-/// regardless of how the bytes physically arrive (streamed from a file,
-/// sharded over an in-memory prefix, or replayed per worker). Physical IO
-/// is accounted separately by SeriesSource (`ppm.source.*`), so e.g. a
-/// sharded run that first materializes a prefix reports extra
-/// `ppm.source.scans` but the same `ppm.scan.db_passes`. This is the
-/// number the paper's Algorithm 3.2 bounds at 2 for single-period mining.
+/// regardless of how the bytes physically arrive (streamed from a file or
+/// sharded over an in-memory prefix); `parallel::SegmentScan` records it
+/// once per completed mining pass. Physical IO is accounted separately by
+/// SeriesSource (`ppm.source.*`), so e.g. a pooled run that materializes
+/// the prefix once reports fewer `ppm.source.scans` but the same
+/// `ppm.scan.db_passes`. This is the number the paper's Algorithm 3.2
+/// bounds at 2 for single-period mining.
 ///
 /// Emits:
 ///   ppm.scan.db_passes          -- total passes (counter)

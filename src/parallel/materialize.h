@@ -1,25 +1,8 @@
 #ifndef PPM_PARALLEL_MATERIALIZE_H_
 #define PPM_PARALLEL_MATERIALIZE_H_
 
-#include <cstdint>
-#include <vector>
-
-#include "tsdb/series_source.h"
-#include "tsdb/time_series.h"
-#include "util/status.h"
-
-namespace ppm::parallel {
-
-/// Reads the first `limit` instants of `source` into memory with a single
-/// scan, giving the sharded miners the random access a `SeriesSource`
-/// cannot provide: workers index disjoint period segments of the returned
-/// vector without touching the source again.
-///
-/// Fails if the source errors or ends before delivering `limit` instants.
-/// Counts as exactly one scan in `source.stats()`.
-Result<std::vector<tsdb::FeatureSet>> MaterializePrefix(
-    tsdb::SeriesSource& source, uint64_t limit);
-
-}  // namespace ppm::parallel
+// `MaterializePrefix` lives with the segment-scan driver that uses it; this
+// header keeps the old include path working.
+#include "parallel/segment_scan.h"
 
 #endif  // PPM_PARALLEL_MATERIALIZE_H_

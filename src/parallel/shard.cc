@@ -6,13 +6,17 @@
 namespace ppm::parallel {
 
 ShardTimings ShardedRun(
-    ThreadPool& pool, uint64_t n, const std::string& phase,
+    ThreadPool* pool, uint64_t n, const std::string& phase,
     const std::function<void(const ThreadPool::Chunk&)>& fn,
     const Interrupt& interrupt) {
   ShardTimings timings;
-  timings.worker_seconds.assign(pool.size(), 0.0);
+  if (pool == nullptr) {
+    if (n > 0 && !interrupt.ShouldStop()) fn(ThreadPool::Chunk{0, 0, n});
+    return timings;
+  }
+  timings.worker_seconds.assign(pool->size(), 0.0);
   const std::string span_name = phase + ".shard";
-  pool.ParallelFor(
+  pool->ParallelFor(
       n, [&fn, &timings, &span_name, &interrupt](const ThreadPool::Chunk& c) {
         // Chunks already interrupted never start; the caller re-checks the
         // interrupt after the join and discards the partial state.
@@ -27,6 +31,7 @@ ShardTimings ShardedRun(
 }
 
 void RecordShardMetrics(const ShardTimings& timings) {
+  if (timings.worker_seconds.empty()) return;
   auto& registry = obs::MetricsRegistry::Global();
   obs::Counter shards = registry.GetCounter("ppm.parallel.shards");
   obs::Histogram busy = registry.GetHistogram("ppm.parallel.worker_busy_us");

@@ -19,8 +19,10 @@ struct ShardTimings {
   double merge_seconds = 0.0;
 };
 
-/// Runs `fn(chunk)` over `[0, n)` via `pool.ParallelFor`, wrapping each
+/// Runs `fn(chunk)` over `[0, n)` via `pool->ParallelFor`, wrapping each
 /// chunk in a per-worker trace span named `<phase>.shard` and timing it.
+/// With no pool, `fn` runs inline over the whole range as one chunk,
+/// untraced and untimed.
 ///
 /// Returns per-chunk busy times; after the call (all workers joined) the
 /// caller merges per-chunk state in chunk order for deterministic output.
@@ -29,7 +31,7 @@ struct ShardTimings {
 /// the dispatch layer (running chunks finish or bail on their own polls).
 /// Workers cannot return a `Status`, so the caller must re-check the
 /// interrupt after the join and discard the partial per-chunk state.
-ShardTimings ShardedRun(ThreadPool& pool, uint64_t n, const std::string& phase,
+ShardTimings ShardedRun(ThreadPool* pool, uint64_t n, const std::string& phase,
                         const std::function<void(const ThreadPool::Chunk&)>& fn,
                         const Interrupt& interrupt = Interrupt());
 
@@ -38,6 +40,7 @@ ShardTimings ShardedRun(ThreadPool& pool, uint64_t n, const std::string& phase,
 ///   ppm.parallel.worker_busy_us    histogram  per-chunk busy time
 ///   ppm.parallel.merge_us          counter  main-thread merge time
 /// `timings.merge_seconds` is set by the caller once its merge finished.
+/// Inline (pool-less) runs record nothing.
 void RecordShardMetrics(const ShardTimings& timings);
 
 }  // namespace ppm::parallel

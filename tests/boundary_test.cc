@@ -181,6 +181,18 @@ TEST(BoundaryTest, MultiPeriodBoundsAreValidated) {
         ASSERT_FALSE(r.ok());
         EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
       }
+      {
+        // Option bounds are checked at every thread count, not only by the
+        // per-period mines of the one-thread paths.
+        MiningOptions bad_confidence = options;
+        bad_confidence.min_confidence = 1.5;
+        InMemorySeriesSource source(&series);
+        const auto r =
+            shared ? MineMultiPeriodShared(source, 2, 4, bad_confidence)
+                   : MineMultiPeriodLooped(source, 2, 4, bad_confidence);
+        ASSERT_FALSE(r.ok()) << "threads=" << threads;
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      }
     }
   }
 }

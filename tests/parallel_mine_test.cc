@@ -1,11 +1,14 @@
 // Tests of the parallel mining building blocks (src/parallel/ plus the
-// sharded branches of the core miners): prefix materialization, hit-store
-// merging, sharded F_1 counting, and end-to-end parity between sequential
-// and sharded mining, including the metrics the parallel paths publish.
+// pooled passes of the core miners): the segment-scan driver's single
+// materializing scan and truncation check, hit-store merging, chunked F_1
+// counting, and end-to-end parity between one-thread and pooled mining,
+// including the metrics the pooled passes publish.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/f1_scan.h"
@@ -13,10 +16,9 @@
 #include "core/hitset_miner.h"
 #include "core/multi_period.h"
 #include "obs/metrics.h"
-#include "parallel/materialize.h"
+#include "parallel/segment_scan.h"
 #include "diff_harness.h"
 #include "tsdb/series_source.h"
-#include "util/thread_pool.h"
 
 namespace ppm {
 namespace {
@@ -38,25 +40,52 @@ TimeSeries SmallSeries() {
   return series;
 }
 
-TEST(MaterializePrefixTest, ReadsExactlyThePrefixInOneScan) {
+/// Declares more instants than the wrapped series holds: a truncated file.
+class ShortSource : public InMemorySeriesSource {
+ public:
+  ShortSource(const TimeSeries* series, uint64_t declared)
+      : InMemorySeriesSource(series), declared_(declared) {}
+  uint64_t length() const override { return declared_; }
+
+ private:
+  uint64_t declared_;
+};
+
+TEST(SegmentScanTest, PooledPassesShareOneScanOfThePrefix) {
   const TimeSeries series = SmallSeries();
   InMemorySeriesSource source(&series);
-  const auto instants = parallel::MaterializePrefix(source, 7);
-  ASSERT_TRUE(instants.ok()) << instants.status();
-  ASSERT_EQ(instants->size(), 7u);
-  for (size_t t = 0; t < instants->size(); ++t) {
-    EXPECT_TRUE((*instants)[t].Test(t % 2));
+  // Period 3 covers the 9-instant prefix of the 10-instant series.
+  parallel::SegmentScan scan(source, {3}, 4, Interrupt());
+  EXPECT_GT(scan.num_chunks(), 1u);
+  for (int pass = 0; pass < 2; ++pass) {
+    // Instants alternate features 0 and 1, so segment s starts with
+    // feature s % 2 and every segment is a contiguous run.
+    std::vector<bool> starts_odd;
+    std::mutex mu;
+    ASSERT_TRUE(scan.Run("test_pass",
+                         [&](const parallel::Segment& segment) {
+                           const bool odd = segment.instants[0].Test(1);
+                           EXPECT_NE(segment.instants[1].Test(1), odd);
+                           EXPECT_EQ(segment.instants[2].Test(1), odd);
+                           const std::lock_guard<std::mutex> lock(mu);
+                           starts_odd.push_back(odd);
+                         })
+                    .ok());
+    std::sort(starts_odd.begin(), starts_odd.end());
+    EXPECT_EQ(starts_odd, (std::vector<bool>{false, false, true}));
   }
   EXPECT_EQ(source.stats().scans, 1u);
-  EXPECT_EQ(source.stats().instants_read, 7u);
+  EXPECT_EQ(source.stats().instants_read, 9u);
 }
 
-TEST(MaterializePrefixTest, FailsWhenSourceIsTooShort) {
+TEST(SegmentScanTest, FailsWhenSourceIsTooShort) {
   const TimeSeries series = SmallSeries();
-  InMemorySeriesSource source(&series);
-  const auto instants = parallel::MaterializePrefix(source, 11);
-  ASSERT_FALSE(instants.ok());
-  EXPECT_EQ(instants.status().code(), StatusCode::kInternal);
+  for (const uint32_t threads : {1u, 4u}) {
+    ShortSource source(&series, 12);
+    parallel::SegmentScan scan(source, {4}, threads, Interrupt());
+    const Status status = scan.Run("test_pass", [](const parallel::Segment&) {});
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << "threads=" << threads;
+  }
 }
 
 TEST(HitStoreMergeTest, MergedCountsAreAdditive) {
@@ -113,7 +142,7 @@ TEST(HitStoreMergeTest, MergeAcrossStoreKinds) {
   EXPECT_EQ(tree->num_entries(), 2u);
 }
 
-TEST(BuildF1Test, ShardedCountsMatchSequential) {
+TEST(SegmentScanTest, OneChunkF1CountsEqualFourChunkCounts) {
   DiffConfig config;
   config.seed = 99;
   config.period = 6;
@@ -125,14 +154,17 @@ TEST(BuildF1Test, ShardedCountsMatchSequential) {
   options.period = config.period;
   options.min_confidence = 0.3;
 
-  const uint64_t covered =
-      (series.length() / options.period) * options.period;
-  const std::vector<tsdb::FeatureSet> instants(
-      series.instants().begin(), series.instants().begin() + covered);
-
-  const F1ScanResult sequential = BuildF1FromInstants(instants, options);
-  ThreadPool pool(4);
-  const F1ScanResult sharded = BuildF1FromInstants(instants, options, &pool);
+  std::vector<F1ScanResult> f1;
+  for (const uint32_t threads : {1u, 4u}) {
+    InMemorySeriesSource source(&series);
+    parallel::SegmentScan scan(source, {options.period}, threads, Interrupt());
+    EXPECT_EQ(scan.num_chunks(), threads);
+    auto result = ScanForF1(scan, "f1_scan", options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    f1.push_back(std::move(result->front()));
+  }
+  const F1ScanResult& sequential = f1[0];
+  const F1ScanResult& sharded = f1[1];
 
   EXPECT_EQ(sharded.num_periods, sequential.num_periods);
   EXPECT_EQ(sharded.min_count, sequential.min_count);

@@ -138,19 +138,30 @@ TEST(ScanAccountingTest, CandidateCountsAreThreadInvariant) {
 TEST(ScanAccountingTest, SharedMultiPeriodIsTwoPassesTotal) {
   const synth::GeneratedSeries data = TestSeries(4000, 20);
   auto& registry = obs::MetricsRegistry::Global();
-  registry.Reset();
-  tsdb::InMemorySeriesSource source(&data.series);
-  const auto result =
-      MineMultiPeriodShared(source, 18, 22, HitsetOptions(0));
-  ASSERT_TRUE(result.status().ok()) << result.status().ToString();
+  for (const uint32_t threads : {1u, 4u}) {
+    registry.Reset();
+    tsdb::InMemorySeriesSource source(&data.series);
+    const auto result =
+        MineMultiPeriodShared(source, 18, 22, HitsetOptions(0, threads));
+    ASSERT_TRUE(result.status().ok()) << result.status().ToString();
 
-  // Algorithm 3.4: one shared traversal per scan regardless of how many
-  // periods are mined (5 here).
-  const obs::MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(CounterValue(snapshot, "ppm.scan.db_passes"), 2u);
-  EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.shared_scan1"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.shared_scan2"), 1u);
-  EXPECT_EQ(result.value().total_scans, 2u);
+    // Algorithm 3.4: one shared traversal per scan regardless of how many
+    // periods are mined (5 here) or how many workers share it.
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.db_passes"), 2u)
+        << "threads=" << threads;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.shared_scan1"), 1u)
+        << "threads=" << threads;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.scan.passes.shared_scan2"), 1u)
+        << "threads=" << threads;
+    // Physically: one source scan per pass when streaming, one
+    // materializing scan for the whole mine when pooled.
+    const uint64_t source_scans = threads == 1 ? 2u : 1u;
+    EXPECT_EQ(CounterValue(snapshot, "ppm.source.scans"), source_scans)
+        << "threads=" << threads;
+    EXPECT_EQ(result.value().total_scans, source_scans)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ScanAccountingTest, RecordDbPassFeedsHistogramAndSegments) {
