@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <utility>
 
-#include "dist/framing.h"
+#include "util/bytes.h"
+#include "util/crc32c.h"
+#include "util/fs.h"
 
 namespace ppm::dist {
 
 namespace {
+
+using bytes::PutF64;
+using bytes::PutString;
+using bytes::PutU32;
+using bytes::PutU64;
 
 /// Caps on decoded collection sizes, checked before any allocation.
 constexpr uint32_t kMaxInputs = 1u << 20;
@@ -156,7 +163,7 @@ std::string EncodePlanBody(const ShardPlan& plan) {
 }
 
 Result<ShardPlan> DecodePlanBody(std::string_view body) {
-  BodyReader reader(body);
+  bytes::ByteReader reader(body);
   ShardPlan plan;
   uint32_t version = 0;
   if (!reader.ReadU32(&version)) return PlanCorrupt("truncated version");
@@ -203,13 +210,16 @@ Result<ShardPlan> DecodePlanBody(std::string_view body) {
 Status WritePlanFile(ShardPlan* plan, const std::string& path) {
   PPM_RETURN_IF_ERROR(ValidatePlan(*plan));
   const std::string body = EncodePlanBody(*plan);
-  plan->fingerprint = BodyFingerprint(body);
-  return WriteFramedFile(path, kPlanMagic, body);
+  // The body CRC doubles as the plan fingerprint that binds shard result
+  // files to the exact plan they were mined under.
+  plan->fingerprint = crc32c::Value(body);
+  return fsutil::AtomicWriteFile(path, bytes::FrameFile(kPlanMagic, body));
 }
 
 Result<ShardPlan> ReadPlanFile(const std::string& path) {
-  PPM_ASSIGN_OR_RETURN(const std::string body,
-                       ReadFramedFile(path, kPlanMagic));
+  PPM_ASSIGN_OR_RETURN(const std::string file, fsutil::ReadFileBytes(path));
+  PPM_ASSIGN_OR_RETURN(const std::string_view body,
+                       bytes::UnframeFile(file, kPlanMagic, path));
   PPM_ASSIGN_OR_RETURN(ShardPlan plan, DecodePlanBody(body));
   const Status valid = ValidatePlan(plan);
   if (!valid.ok()) {
@@ -218,7 +228,7 @@ Result<ShardPlan> ReadPlanFile(const std::string& path) {
     // so callers treat it like any other unusable manifest.
     return Status::Corruption(valid.message());
   }
-  plan.fingerprint = BodyFingerprint(body);
+  plan.fingerprint = crc32c::Value(body);
   return plan;
 }
 

@@ -63,7 +63,7 @@ class AdmissionController {
  public:
   struct Options {
     /// Quotas by tenant name; `default` is the fallback for unnamed tenants.
-    std::map<std::string, TenantQuota> quotas;
+    std::map<std::string, TenantQuota> quotas{};
     /// Bounded FIFO queue capacity (admitted, waiting for a worker).
     uint64_t queue_capacity = 64;
     /// Worker threads draining the queue (feeds wait estimation).
@@ -72,10 +72,10 @@ class AdmissionController {
     /// 3/4 of `queue_capacity`.
     uint64_t shed_watermark = 0;
     /// Millisecond clock; defaults to steady_clock. Injectable for tests.
-    std::function<uint64_t()> now_ms;
+    std::function<uint64_t()> now_ms{};
     /// Optional cache-budget pressure probe in [0, 1]; >= 0.95 degrades
     /// readiness to kShedding even with an empty queue.
-    std::function<double()> cache_pressure;
+    std::function<double()> cache_pressure{};
   };
 
   explicit AdmissionController(Options options);

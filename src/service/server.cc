@@ -12,7 +12,6 @@
 #include <cstring>
 #include <utility>
 
-#include "util/crc32c.h"
 #include "util/log.h"
 
 namespace ppm::service {
@@ -367,27 +366,22 @@ bool PatternServer::ProcessInbuf(Conn* conn) {
       conn->got_magic = true;
       continue;
     }
-    if (conn->inbuf.size() < 8) break;
-    uint32_t length = 0;
-    uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      length |= static_cast<uint32_t>(
-                    static_cast<uint8_t>(conn->inbuf[i]))
-                << (8 * i);
-      crc |= static_cast<uint32_t>(
-                 static_cast<uint8_t>(conn->inbuf[4 + i]))
-             << (8 * i);
-    }
-    if (length > wire::kMaxFramePayloadBytes) {
-      PPM_LOG(kWarn) << "ppmd dropping connection: oversized frame ("
-                     << length << " bytes)";
+    if (conn->inbuf.size() < wire::kFrameHeaderBytes) break;
+    const Result<wire::FrameHeader> header = wire::DecodeFrameHeader(
+        std::string_view(conn->inbuf).substr(0, wire::kFrameHeaderBytes));
+    if (!header.ok()) {
+      PPM_LOG(kWarn) << "ppmd dropping connection: "
+                     << header.status().message();
       return false;
     }
-    if (conn->inbuf.size() < 8 + static_cast<size_t>(length)) break;
-    const std::string payload = conn->inbuf.substr(8, length);
-    conn->inbuf.erase(0, 8 + static_cast<size_t>(length));
-    if (crc32c::Value(payload.data(), payload.size()) != crc) {
-      PPM_LOG(kWarn) << "ppmd dropping connection: frame checksum mismatch";
+    const size_t frame_len = wire::kFrameHeaderBytes + header->payload_len;
+    if (conn->inbuf.size() < frame_len) break;
+    const std::string payload =
+        conn->inbuf.substr(wire::kFrameHeaderBytes, header->payload_len);
+    conn->inbuf.erase(0, frame_len);
+    const Status intact = wire::VerifyFramePayload(*header, payload);
+    if (!intact.ok()) {
+      PPM_LOG(kWarn) << "ppmd dropping connection: " << intact.message();
       return false;
     }
     if (!HandleFrame(conn, payload)) return false;

@@ -166,6 +166,21 @@ std::string EncodeFrame(std::string_view payload);
 /// Reads and verifies the peer's magic.
 Status ExpectMagic(int fd);
 
+/// The 8-byte frame header, decoded once for every reader: the blocking
+/// `ReadFrame` and the server's incremental poller.
+inline constexpr size_t kFrameHeaderBytes = 8;
+struct FrameHeader {
+  uint32_t payload_len = 0;
+  uint32_t payload_crc = 0;
+};
+
+/// Decodes `header` (`kFrameHeaderBytes` bytes); `kInvalidArgument` when the
+/// declared payload exceeds `kMaxFramePayloadBytes`.
+Result<FrameHeader> DecodeFrameHeader(std::string_view header);
+
+/// `kCorruption` unless `payload` matches the header's CRC.
+Status VerifyFramePayload(const FrameHeader& header, std::string_view payload);
+
 /// Reads one frame. Blocks in 50 ms poll ticks so `should_stop` (optional)
 /// can abort a drain: returns `kCancelled` when it fires between ticks.
 /// A clean close before any header byte returns `kNotFound` ("connection

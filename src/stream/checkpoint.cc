@@ -1,7 +1,6 @@
 #include "stream/checkpoint.h"
 
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,7 +8,7 @@
 
 #include "obs/metrics.h"
 #include "tsdb/fault_injection.h"
-#include "util/crc32c.h"
+#include "util/bytes.h"
 #include "util/fs.h"
 
 namespace ppm::stream {
@@ -18,140 +17,107 @@ namespace fs = std::filesystem;
 
 namespace {
 
+using bytes::PutF64;
+using bytes::PutString;
+using bytes::PutU32;
+using bytes::PutU64;
+
 /// Caps on decoded collection sizes, checked before any allocation.
 constexpr uint32_t kMaxSymbols = 1u << 24;
 constexpr uint32_t kMaxSymbolNameBytes = 1u << 20;
 constexpr uint32_t kMaxLetters = 1u << 24;
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+/// A u32 count, then (position u32, feature u32) per letter.
+void PutLetters(std::string* out, const std::vector<Letter>& letters) {
+  PutU32(out, static_cast<uint32_t>(letters.size()));
+  for (const Letter& letter : letters) {
+    PutU32(out, letter.position);
+    PutU32(out, letter.feature);
   }
 }
 
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
+/// A u32 count, then one u32 letter index each.
+void PutIndices(std::string* out, const std::vector<uint32_t>& indices) {
+  PutU32(out, static_cast<uint32_t>(indices.size()));
+  for (const uint32_t index : indices) PutU32(out, index);
 }
 
-/// Bounds-checked sequential reader over the state block. Every failed
-/// read is reported by the caller as `kCorruption`.
-class Cursor {
- public:
-  Cursor(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU32(uint32_t* value) {
-    if (size_ - pos_ < 4) return false;
-    *value = 0;
-    for (int i = 0; i < 4; ++i) {
-      *value |= static_cast<uint32_t>(
-                    static_cast<unsigned char>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 4;
-    return true;
+/// Decoders of the two lists above: false on truncation, or on a count
+/// above `max_count`. Counts are checked against the bytes left before
+/// anything is allocated.
+bool ReadLetters(bytes::ByteReader* in, std::vector<Letter>* letters,
+                 uint32_t max_count = UINT32_MAX) {
+  uint32_t count = 0;
+  if (!in->ReadU32(&count) || count > max_count ||
+      in->remaining() / 8 < count) {
+    return false;
   }
-
-  bool ReadU64(uint64_t* value) {
-    if (size_ - pos_ < 8) return false;
-    *value = 0;
-    for (int i = 0; i < 8; ++i) {
-      *value |= static_cast<uint64_t>(
-                    static_cast<unsigned char>(data_[pos_ + i]))
-                << (8 * i);
-    }
-    pos_ += 8;
-    return true;
+  letters->resize(count);
+  for (Letter& letter : *letters) {
+    in->ReadU32(&letter.position);
+    in->ReadU32(&letter.feature);
   }
+  return true;
+}
 
-  bool ReadBytes(std::string* out, size_t n) {
-    if (size_ - pos_ < n) return false;
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+bool ReadIndices(bytes::ByteReader* in, std::vector<uint32_t>* indices) {
+  uint32_t count = 0;
+  if (!in->ReadU32(&count) || in->remaining() / 4 < count) return false;
+  indices->resize(count);
+  for (uint32_t& index : *indices) in->ReadU32(&index);
+  return true;
+}
 
 std::string EncodeState(const CheckpointData& data) {
   const StreamingMinerState& state = data.state.core;
   std::string out;
-  AppendU32(&out, kCheckpointVersion);
-  AppendU32(&out, data.period);
-  uint64_t conf_bits = 0;
-  static_assert(sizeof(conf_bits) == sizeof(data.min_confidence));
-  std::memcpy(&conf_bits, &data.min_confidence, sizeof(conf_bits));
-  AppendU64(&out, conf_bits);
-  AppendU64(&out, data.min_count);
-  AppendU32(&out, data.max_letters);
-  AppendU32(&out, static_cast<uint32_t>(data.hit_store));
-  AppendU32(&out, state.drift_window);
-  AppendU32(&out, data.state.window_segments);  // v2
-  AppendU64(&out, state.instants_seen);
-  AppendU64(&out, state.segments_committed);
-  AppendU32(&out, static_cast<uint32_t>(data.symbols.size()));
-  for (const std::string& name : data.symbols) {
-    AppendU32(&out, static_cast<uint32_t>(name.size()));
-    out += name;
-  }
-  AppendU32(&out, static_cast<uint32_t>(state.letters.size()));
-  for (const Letter& letter : state.letters) {
-    AppendU32(&out, letter.position);
-    AppendU32(&out, letter.feature);
-  }
-  for (const uint64_t count : state.seeded_counts) AppendU64(&out, count);
+  PutU32(&out, kCheckpointVersion);
+  PutU32(&out, data.period);
+  PutF64(&out, data.min_confidence);
+  PutU64(&out, data.min_count);
+  PutU32(&out, data.max_letters);
+  PutU32(&out, static_cast<uint32_t>(data.hit_store));
+  PutU32(&out, state.drift_window);
+  PutU32(&out, data.state.window_segments);  // v2
+  PutU64(&out, state.instants_seen);
+  PutU64(&out, state.segments_committed);
+  PutU32(&out, static_cast<uint32_t>(data.symbols.size()));
+  for (const std::string& name : data.symbols) PutString(&out, name);
+  PutLetters(&out, state.letters);
+  for (const uint64_t count : state.seeded_counts) PutU64(&out, count);
   for (const auto& row : state.other_counts) {
-    AppendU32(&out, static_cast<uint32_t>(row.size()));
+    PutU32(&out, static_cast<uint32_t>(row.size()));
     for (const auto& [feature, count] : row) {
-      AppendU32(&out, feature);
-      AppendU64(&out, count);
+      PutU32(&out, feature);
+      PutU64(&out, count);
     }
   }
-  AppendU32(&out, static_cast<uint32_t>(state.window_history.size()));
+  PutU32(&out, static_cast<uint32_t>(state.window_history.size()));
   for (const std::vector<Letter>& segment : state.window_history) {
-    AppendU32(&out, static_cast<uint32_t>(segment.size()));
-    for (const Letter& letter : segment) {
-      AppendU32(&out, letter.position);
-      AppendU32(&out, letter.feature);
-    }
+    PutLetters(&out, segment);
   }
-  AppendU32(&out, state.segment_position);
-  AppendU32(&out, static_cast<uint32_t>(state.segment_mask.size()));
-  for (const uint32_t index : state.segment_mask) AppendU32(&out, index);
-  AppendU32(&out, static_cast<uint32_t>(state.pending_other.size()));
-  for (const Letter& letter : state.pending_other) {
-    AppendU32(&out, letter.position);
-    AppendU32(&out, letter.feature);
-  }
+  PutU32(&out, state.segment_position);
+  PutIndices(&out, state.segment_mask);
+  PutLetters(&out, state.pending_other);
   // v2: the retained window masks, oldest first, right before the hits so
   // a decoder can cross-check both against each other.
-  AppendU32(&out, static_cast<uint32_t>(data.state.window_masks.size()));
+  PutU32(&out, static_cast<uint32_t>(data.state.window_masks.size()));
   for (const std::vector<uint32_t>& mask : data.state.window_masks) {
-    AppendU32(&out, static_cast<uint32_t>(mask.size()));
-    for (const uint32_t index : mask) AppendU32(&out, index);
+    PutIndices(&out, mask);
   }
-  AppendU64(&out, static_cast<uint64_t>(state.hits.size()));
+  PutU64(&out, static_cast<uint64_t>(state.hits.size()));
   for (const auto& [mask_bits, count] : state.hits) {
-    AppendU32(&out, static_cast<uint32_t>(mask_bits.size()));
-    for (const uint32_t index : mask_bits) AppendU32(&out, index);
-    AppendU64(&out, count);
+    PutIndices(&out, mask_bits);
+    PutU64(&out, count);
   }
   return out;
 }
 
-Result<CheckpointData> DecodeState(const std::string& block) {
+Result<CheckpointData> DecodeState(std::string_view block) {
   const auto corrupt = [](const std::string& what) {
     return Status::Corruption("checkpoint: " + what);
   };
-  Cursor cursor(block.data(), block.size());
+  bytes::ByteReader cursor(block);
   CheckpointData data;
   uint32_t version = 0;
   if (!cursor.ReadU32(&version)) return corrupt("truncated version");
@@ -161,14 +127,12 @@ Result<CheckpointData> DecodeState(const std::string& block) {
   if (version != 1 && version != kCheckpointVersion) {
     return corrupt("unsupported version " + std::to_string(version));
   }
-  uint64_t conf_bits = 0;
   uint32_t hit_store = 0;
-  if (!cursor.ReadU32(&data.period) || !cursor.ReadU64(&conf_bits) ||
+  if (!cursor.ReadU32(&data.period) || !cursor.ReadF64(&data.min_confidence) ||
       !cursor.ReadU64(&data.min_count) || !cursor.ReadU32(&data.max_letters) ||
       !cursor.ReadU32(&hit_store)) {
     return corrupt("truncated configuration");
   }
-  std::memcpy(&data.min_confidence, &conf_bits, sizeof(data.min_confidence));
   if (!std::isfinite(data.min_confidence)) {
     return corrupt("non-finite confidence threshold");
   }
@@ -192,36 +156,23 @@ Result<CheckpointData> DecodeState(const std::string& block) {
   if (num_symbols > kMaxSymbols) return corrupt("implausible symbol count");
   data.symbols.reserve(std::min<size_t>(num_symbols, cursor.remaining() / 4));
   for (uint32_t i = 0; i < num_symbols; ++i) {
-    uint32_t name_len = 0;
-    if (!cursor.ReadU32(&name_len)) return corrupt("truncated symbol length");
-    if (name_len > kMaxSymbolNameBytes) {
-      return corrupt("implausible symbol length");
-    }
     std::string name;
-    if (!cursor.ReadBytes(&name, name_len)) return corrupt("truncated symbol");
+    if (!cursor.ReadString(&name, kMaxSymbolNameBytes)) {
+      return corrupt(cursor.truncated() ? "truncated symbol"
+                                        : "implausible symbol length");
+    }
     data.symbols.push_back(std::move(name));
   }
 
-  uint32_t num_letters = 0;
-  if (!cursor.ReadU32(&num_letters)) return corrupt("truncated letter count");
-  if (num_letters > kMaxLetters) return corrupt("implausible letter count");
-  if (cursor.remaining() / 8 < num_letters) {
-    return corrupt("truncated letters");
+  if (!ReadLetters(&cursor, &state.letters, kMaxLetters)) {
+    return corrupt("truncated or implausible letters");
   }
-  state.letters.reserve(num_letters);
-  for (uint32_t i = 0; i < num_letters; ++i) {
-    Letter letter;
-    cursor.ReadU32(&letter.position);
-    cursor.ReadU32(&letter.feature);
-    state.letters.push_back(letter);
-  }
+  const size_t num_letters = state.letters.size();
   if (cursor.remaining() / 8 < num_letters) {
     return corrupt("truncated seeded counts");
   }
   state.seeded_counts.resize(num_letters);
-  for (uint32_t i = 0; i < num_letters; ++i) {
-    cursor.ReadU64(&state.seeded_counts[i]);
-  }
+  for (uint64_t& count : state.seeded_counts) cursor.ReadU64(&count);
 
   if (data.period > kMaxLetters) return corrupt("implausible period");
   state.other_counts.resize(data.period);
@@ -243,74 +194,33 @@ Result<CheckpointData> DecodeState(const std::string& block) {
   }
 
   uint32_t history_size = 0;
-  if (!cursor.ReadU32(&history_size)) return corrupt("truncated history count");
-  if (cursor.remaining() / 4 < history_size) {
-    return corrupt("implausible history count");
+  if (!cursor.ReadU32(&history_size) ||
+      cursor.remaining() / 4 < history_size) {
+    return corrupt("truncated or implausible history count");
   }
   state.window_history.resize(history_size);
-  for (uint32_t h = 0; h < history_size; ++h) {
-    uint32_t segment_size = 0;
-    if (!cursor.ReadU32(&segment_size)) return corrupt("truncated history");
-    if (cursor.remaining() / 8 < segment_size) {
-      return corrupt("truncated history segment");
-    }
-    auto& segment = state.window_history[h];
-    segment.reserve(segment_size);
-    for (uint32_t i = 0; i < segment_size; ++i) {
-      Letter letter;
-      cursor.ReadU32(&letter.position);
-      cursor.ReadU32(&letter.feature);
-      segment.push_back(letter);
-    }
+  for (std::vector<Letter>& segment : state.window_history) {
+    if (!ReadLetters(&cursor, &segment)) return corrupt("truncated history");
   }
 
   if (!cursor.ReadU32(&state.segment_position)) {
     return corrupt("truncated segment position");
   }
-  uint32_t mask_size = 0;
-  if (!cursor.ReadU32(&mask_size)) return corrupt("truncated mask count");
-  if (cursor.remaining() / 4 < mask_size) return corrupt("truncated mask");
-  state.segment_mask.reserve(mask_size);
-  for (uint32_t i = 0; i < mask_size; ++i) {
-    uint32_t index = 0;
-    cursor.ReadU32(&index);
-    state.segment_mask.push_back(index);
+  if (!ReadIndices(&cursor, &state.segment_mask)) {
+    return corrupt("truncated mask");
   }
-  uint32_t pending_size = 0;
-  if (!cursor.ReadU32(&pending_size)) return corrupt("truncated pending count");
-  if (cursor.remaining() / 8 < pending_size) {
+  if (!ReadLetters(&cursor, &state.pending_other)) {
     return corrupt("truncated pending letters");
-  }
-  state.pending_other.reserve(pending_size);
-  for (uint32_t i = 0; i < pending_size; ++i) {
-    Letter letter;
-    cursor.ReadU32(&letter.position);
-    cursor.ReadU32(&letter.feature);
-    state.pending_other.push_back(letter);
   }
 
   if (version >= 2) {
     uint32_t num_masks = 0;
-    if (!cursor.ReadU32(&num_masks)) {
-      return corrupt("truncated window mask count");
-    }
-    if (cursor.remaining() / 4 < num_masks) {
-      return corrupt("implausible window mask count");
+    if (!cursor.ReadU32(&num_masks) || cursor.remaining() / 4 < num_masks) {
+      return corrupt("truncated or implausible window mask count");
     }
     data.state.window_masks.resize(num_masks);
-    for (uint32_t w = 0; w < num_masks; ++w) {
-      uint32_t bits = 0;
-      if (!cursor.ReadU32(&bits)) return corrupt("truncated window mask");
-      if (cursor.remaining() / 4 < bits) {
-        return corrupt("truncated window mask");
-      }
-      auto& mask = data.state.window_masks[w];
-      mask.reserve(bits);
-      for (uint32_t i = 0; i < bits; ++i) {
-        uint32_t index = 0;
-        cursor.ReadU32(&index);
-        mask.push_back(index);
-      }
+    for (std::vector<uint32_t>& mask : data.state.window_masks) {
+      if (!ReadIndices(&cursor, &mask)) return corrupt("truncated window mask");
     }
   }
 
@@ -319,16 +229,8 @@ Result<CheckpointData> DecodeState(const std::string& block) {
   if (cursor.remaining() / 12 < num_hits) return corrupt("implausible hit count");
   state.hits.reserve(num_hits);
   for (uint64_t h = 0; h < num_hits; ++h) {
-    uint32_t bits = 0;
-    if (!cursor.ReadU32(&bits)) return corrupt("truncated hit mask");
-    if (cursor.remaining() / 4 < bits) return corrupt("truncated hit mask");
     std::vector<uint32_t> mask_bits;
-    mask_bits.reserve(bits);
-    for (uint32_t i = 0; i < bits; ++i) {
-      uint32_t index = 0;
-      cursor.ReadU32(&index);
-      mask_bits.push_back(index);
-    }
+    if (!ReadIndices(&cursor, &mask_bits)) return corrupt("truncated hit mask");
     uint64_t count = 0;
     if (!cursor.ReadU64(&count)) return corrupt("truncated hit count value");
     state.hits.emplace_back(std::move(mask_bits), count);
@@ -368,23 +270,18 @@ Result<std::string> ReadCheckpointBytes(const std::string& path) {
 }
 
 Status WriteCheckpointData(const CheckpointData& data, const std::string& dir) {
-  const std::string block = EncodeState(data);
-  std::string bytes;
-  bytes.reserve(sizeof(kCheckpointMagic) + 12 + block.size());
-  bytes.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  AppendU64(&bytes, block.size());
-  AppendU32(&bytes, crc32c::Value(block));
-  bytes += block;
+  const std::string file =
+      bytes::FrameFile(kCheckpointMagic, EncodeState(data));
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   const Status written =
-      fsutil::AtomicWriteFile(CheckpointPath(dir), bytes, SyncPath);
+      fsutil::AtomicWriteFile(CheckpointPath(dir), file, SyncPath);
   if (!written.ok()) {
     metrics.GetCounter("ppm.stream.checkpoint.failures").Inc();
     return written;
   }
   metrics.GetCounter("ppm.stream.checkpoint.writes").Inc();
-  metrics.GetCounter("ppm.stream.checkpoint.bytes").Inc(bytes.size());
+  metrics.GetCounter("ppm.stream.checkpoint.bytes").Inc(file.size());
   return Status::OK();
 }
 
@@ -468,27 +365,10 @@ Status WriteCheckpoint(const StreamingMiner& miner,
 Result<CheckpointData> ReadCheckpoint(const std::string& path) {
   Result<std::string> read = ReadCheckpointBytes(path);
   if (!read.ok()) return read.status();
-  const std::string& bytes = *read;
-  if (bytes.size() < sizeof(kCheckpointMagic) + 12) {
-    return Status::Corruption("checkpoint too short: " + path);
-  }
-  if (bytes.compare(0, sizeof(kCheckpointMagic), kCheckpointMagic,
-                    sizeof(kCheckpointMagic)) != 0) {
-    return Status::Corruption("bad checkpoint magic: " + path);
-  }
-  Cursor header(bytes.data() + sizeof(kCheckpointMagic), 12);
-  uint64_t block_len = 0;
-  uint32_t block_crc = 0;
-  header.ReadU64(&block_len);
-  header.ReadU32(&block_crc);
-  const size_t block_offset = sizeof(kCheckpointMagic) + 12;
-  if (bytes.size() - block_offset != block_len) {
-    return Status::Corruption("checkpoint length mismatch: " + path);
-  }
-  if (crc32c::Value(bytes.data() + block_offset, block_len) != block_crc) {
-    return Status::Corruption("checkpoint checksum mismatch: " + path);
-  }
-  return DecodeState(bytes.substr(block_offset));
+  PPM_ASSIGN_OR_RETURN(const std::string_view block,
+                       bytes::UnframeFile(*read, kCheckpointMagic,
+                                          "checkpoint " + path));
+  return DecodeState(block);
 }
 
 Result<std::unique_ptr<ContinuousMiner>> RestoreContinuousMiner(

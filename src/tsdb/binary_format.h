@@ -2,10 +2,17 @@
 #define PPM_TSDB_BINARY_FORMAT_H_
 
 #include <cstdint>
+#include <fstream>
 #include <istream>
-#include <ostream>
+#include <memory>
+#include <streambuf>
 #include <string>
 #include <string_view>
+
+#include "tsdb/symbol_table.h"
+#include "tsdb/time_series.h"
+#include "util/bytes.h"
+#include "util/status.h"
 
 namespace ppm::tsdb::internal {
 
@@ -48,67 +55,71 @@ inline constexpr char kMagicV2[8] = {'P', 'P', 'M', 'T', 'S', '2', '\n', '\0'};
 /// Readers verify each block's CRC before parsing a single field of it.
 inline constexpr char kMagicV3[8] = {'P', 'P', 'M', 'T', 'S', '3', '\n', '\0'};
 
-/// LEB128 unsigned varint. Returns the number of bytes written (1..5 for
-/// 32-bit values).
-inline int WriteVarint32(std::ostream& os, uint32_t value) {
-  int bytes = 0;
-  while (value >= 0x80) {
-    os.put(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-    ++bytes;
+/// The v2 instant codec, shared by `.ppmts` v2/v3 and the WAL: a varint
+/// feature count, then the ascending ids as varints -- the first absolute,
+/// each later one as its gap (>= 1) from the previous id.
+void EncodeInstant(const FeatureSet& instant, std::string* out);
+
+/// Decodes one v2 instant into `*out` (reset first). Every id must be below
+/// `id_limit` (the symbol count for `.ppmts`, the id cap + 1 for the WAL).
+/// `kCorruption` on truncation, an overlong varint, a count above
+/// `id_limit` or the bytes left, a zero gap, or an id at or past the limit.
+Status DecodeInstant(bytes::ByteReader* in, uint32_t id_limit,
+                     FeatureSet* out);
+
+/// The one `.ppmts` parser, behind both `ReadBinarySeries` and
+/// `FileSeriesSource`. `Open` checks the magic, parses the symbol table and
+/// instant count, and for v3 verifies both block CRCs (one sequential pass
+/// over the payload); `Next` then decodes instants one at a time through a
+/// bounded read window, so a scan holds O(window) bytes whatever the file
+/// size. Reads go through the `FaultInjector` seam. Every format error is
+/// `kCorruption`; the reader keeps no counters.
+class SeriesFileReader {
+ public:
+  /// Opens `path` and interns its symbol table into `*symbols` (empty on
+  /// entry, owned by the caller, which the reader does not keep).
+  static Result<std::unique_ptr<SeriesFileReader>> Open(
+      const std::string& path, SymbolTable* symbols);
+
+  /// Positions the reader at the first instant.
+  Status Rewind();
+
+  /// Decodes the next instant into `*out`; `*encoded_bytes` receives its
+  /// size on disk. Callers stop after `num_instants()` calls.
+  Status Next(FeatureSet* out, uint64_t* encoded_bytes);
+
+  uint64_t num_instants() const { return num_instants_; }
+
+ private:
+  SeriesFileReader() : in_(nullptr) {}
+
+  /// Reads until `need` unconsumed bytes are buffered or the data region
+  /// ends.
+  void Fill(size_t need);
+  std::string_view Buffered() const {
+    return std::string_view(window_).substr(pos_);
   }
-  os.put(static_cast<char>(value));
-  return bytes + 1;
-}
+  Status Corrupt(std::string_view what) const;
 
-/// Reads a LEB128 varint; fails on EOF or an overlong (> 5 byte) encoding.
-/// `*bytes_read` (optional) receives the encoded length.
-inline bool ReadVarint32(std::istream& is, uint32_t* value,
-                         int* bytes_read = nullptr) {
-  uint32_t result = 0;
-  int shift = 0;
-  int bytes = 0;
-  while (true) {
-    const int c = is.get();
-    if (c == std::char_traits<char>::eof()) return false;
-    ++bytes;
-    result |= static_cast<uint32_t>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) break;
-    shift += 7;
-    if (shift >= 35) return false;  // Overlong encoding.
-  }
-  *value = result;
-  if (bytes_read != nullptr) *bytes_read = bytes;
-  return true;
-}
-
-inline void WriteU32(std::ostream& os, uint32_t value) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  os.write(bytes, 4);
-}
-
-inline void WriteU64(std::ostream& os, uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  os.write(bytes, 8);
-}
-
-inline bool ReadU32(std::istream& is, uint32_t* value) {
-  unsigned char bytes[4];
-  if (!is.read(reinterpret_cast<char*>(bytes), 4)) return false;
-  *value = 0;
-  for (int i = 0; i < 4; ++i) *value |= static_cast<uint32_t>(bytes[i]) << (8 * i);
-  return true;
-}
-
-inline bool ReadU64(std::istream& is, uint64_t* value) {
-  unsigned char bytes[8];
-  if (!is.read(reinterpret_cast<char*>(bytes), 8)) return false;
-  *value = 0;
-  for (int i = 0; i < 8; ++i) *value |= static_cast<uint64_t>(bytes[i]) << (8 * i);
-  return true;
-}
+  std::string path_;
+  std::ifstream file_;
+  // Reads go through `in_`, whose buffer is either the file's own or a
+  // fault-injecting wrapper around it (tests); `fault_buf_` owns the latter.
+  std::unique_ptr<std::streambuf> fault_buf_;
+  std::istream in_;
+  uint32_t num_symbols_ = 0;  // Every feature id is below this.
+  uint64_t num_instants_ = 0;
+  bool fixed_width_ = false;  // v1 fixed-width vs v2/v3 delta+varint data.
+  uint64_t data_offset_ = 0;  // File offset of the first instant.
+  uint64_t data_end_ = UINT64_MAX;  // v3: end of the payload block.
+  size_t max_instant_bytes_ = 0;
+  // Read window: `window_[pos_, size)` is buffered and unconsumed;
+  // `read_offset_` is the file offset just past `window_`.
+  std::string window_;
+  size_t pos_ = 0;
+  uint64_t read_offset_ = 0;
+  bool at_end_ = false;
+};
 
 }  // namespace ppm::tsdb::internal
 

@@ -1,51 +1,10 @@
 #include "tsdb/series_source.h"
 
-#include <sstream>
 #include <utility>
 
-#include "tsdb/binary_format.h"
-#include "tsdb/fault_injection.h"
 #include "util/check.h"
-#include "util/crc32c.h"
 
 namespace ppm::tsdb {
-
-namespace {
-using internal::kMagic;
-using internal::kMaxSymbolNameBytes;
-using internal::ReadU32;
-using internal::ReadU64;
-
-/// Reads the symbol table + instant count fields from `in` (the layout
-/// shared by every version) into `*symbols` / `*num_instants`.
-Status ReadHeaderFields(std::istream& in, const std::string& path,
-                        SymbolTable* symbols, uint64_t* num_instants) {
-  uint32_t num_symbols = 0;
-  if (!ReadU32(in, &num_symbols)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  for (uint32_t i = 0; i < num_symbols; ++i) {
-    uint32_t len = 0;
-    if (!ReadU32(in, &len)) {
-      return Status::Corruption("truncated symbol table in " + path);
-    }
-    // Cap before allocating: a corrupt length must not trigger a
-    // multi-gigabyte allocation.
-    if (len > kMaxSymbolNameBytes) {
-      return Status::Corruption("implausible symbol name length in " + path);
-    }
-    std::string name(len, '\0');
-    if (!in.read(name.data(), len)) {
-      return Status::Corruption("truncated symbol name in " + path);
-    }
-    symbols->Intern(name);
-  }
-  if (!ReadU64(in, num_instants)) {
-    return Status::Corruption("truncated length in " + path);
-  }
-  return Status::OK();
-}
-}  // namespace
 
 SeriesSource::SeriesSource()
     : scans_counter_(obs::MetricsRegistry::Global().GetCounter("ppm.source.scans")),
@@ -82,163 +41,31 @@ const SymbolTable& InMemorySeriesSource::symbols() const {
 
 Result<std::unique_ptr<FileSeriesSource>> FileSeriesSource::Open(
     const std::string& path) {
-  if (FaultInjector::Global().ConsumeTransientReadFailure()) {
-    return Status::IoError("injected transient read failure: " + path);
-  }
   std::unique_ptr<FileSeriesSource> source(new FileSeriesSource());
-  source->path_ = path;
-  source->file_.open(path, std::ios::binary);
-  if (!source->file_) return Status::IoError("cannot open: " + path);
-  source->fault_buf_ = FaultInjector::Global().MaybeWrap(source->file_.rdbuf());
-  source->stream_.rdbuf(source->fault_buf_ != nullptr
-                            ? source->fault_buf_.get()
-                            : source->file_.rdbuf());
-  std::istream& in = source->stream_;
-
-  char magic[sizeof(kMagic)];
-  if (!in.read(magic, sizeof(magic))) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  const std::string_view magic_view(magic, sizeof(magic));
-  bool checksummed = false;
-  if (magic_view == std::string_view(kMagic, sizeof(kMagic))) {
-    source->fixed_width_ = true;
-  } else if (magic_view ==
-             std::string_view(internal::kMagicV2, sizeof(internal::kMagicV2))) {
-    source->fixed_width_ = false;
-  } else if (magic_view ==
-             std::string_view(internal::kMagicV3, sizeof(internal::kMagicV3))) {
-    source->fixed_width_ = false;
-    checksummed = true;
-  } else {
-    return Status::Corruption("bad magic in " + path);
-  }
-
-  if (checksummed) {
-    // v3: verify the header block's CRC before parsing any of its fields.
-    uint32_t header_len = 0;
-    uint32_t header_crc = 0;
-    if (!ReadU32(in, &header_len) || !ReadU32(in, &header_crc)) {
-      return Status::Corruption("truncated v3 framing in " + path);
-    }
-    if (header_len > internal::kMaxBlockBytes) {
-      return Status::Corruption("implausible v3 header length in " + path);
-    }
-    std::string header(header_len, '\0');
-    if (!in.read(header.data(), header_len)) {
-      return Status::Corruption("truncated v3 header block in " + path);
-    }
-    if (crc32c::Value(header.data(), header.size()) != header_crc) {
-      return Status::Corruption("v3 header checksum mismatch in " + path);
-    }
-    std::istringstream header_in(header);
-    PPM_RETURN_IF_ERROR(ReadHeaderFields(header_in, path, &source->symbols_,
-                                         &source->num_instants_));
-
-    uint64_t payload_len = 0;
-    uint32_t payload_crc = 0;
-    if (!ReadU64(in, &payload_len) || !ReadU32(in, &payload_crc)) {
-      return Status::Corruption("truncated v3 framing in " + path);
-    }
-    if (payload_len > internal::kMaxBlockBytes) {
-      return Status::Corruption("implausible v3 payload length in " + path);
-    }
-    source->data_offset_ = in.tellg();
-
-    // One integrity pass over the payload now, so every later scan can
-    // stream the verified bytes without recomputing the checksum.
-    uint32_t crc = 0;
-    char chunk[4096];
-    uint64_t remaining = payload_len;
-    while (remaining > 0) {
-      const std::streamsize want = static_cast<std::streamsize>(
-          remaining < sizeof(chunk) ? remaining : sizeof(chunk));
-      if (!in.read(chunk, want)) {
-        return Status::Corruption("truncated v3 payload block in " + path);
-      }
-      crc = crc32c::Extend(crc, chunk, static_cast<size_t>(want));
-      remaining -= static_cast<uint64_t>(want);
-    }
-    if (crc != payload_crc) {
-      return Status::Corruption("v3 payload checksum mismatch in " + path);
-    }
-    in.clear();
-    in.seekg(source->data_offset_);
-    if (!in) return Status::IoError("seek failed: " + path);
-    return source;
-  }
-
-  PPM_RETURN_IF_ERROR(ReadHeaderFields(in, path, &source->symbols_,
-                                       &source->num_instants_));
-  source->data_offset_ = in.tellg();
+  PPM_ASSIGN_OR_RETURN(source->reader_, internal::SeriesFileReader::Open(
+                                            path, &source->symbols_));
   return source;
 }
 
 Status FileSeriesSource::StartScan() {
-  status_ = Status::OK();
   delivered_ = 0;
-  stream_.clear();
-  stream_.seekg(data_offset_);
-  if (!stream_) {
-    status_ = Status::IoError("seek failed: " + path_);
-    return status_;
-  }
+  status_ = reader_->Rewind();
+  if (!status_.ok()) return status_;
   ++stats_.scans;
   scans_counter_.Inc();
   return Status::OK();
 }
 
 bool FileSeriesSource::Next(FeatureSet* out) {
+  if (!status_.ok() || delivered_ >= reader_->num_instants()) return false;
+  uint64_t encoded_bytes = 0;
+  status_ = reader_->Next(out, &encoded_bytes);
   if (!status_.ok()) return false;
-  if (delivered_ >= num_instants_) return false;
-
-  uint32_t count = 0;
-  int count_bytes = 4;
-  const bool count_ok = fixed_width_
-                            ? ReadU32(stream_, &count)
-                            : internal::ReadVarint32(stream_, &count,
-                                                     &count_bytes);
-  if (!count_ok) {
-    status_ = Status::Corruption("truncated instant in " + path_);
-    return false;
-  }
-  // An instant holds distinct feature ids, so its count can never exceed
-  // the symbol table; a larger value is corruption and must fail fast
-  // rather than grinding through billions of bogus reads.
-  if (count > symbols_.size()) {
-    status_ = Status::Corruption("instant feature count " +
-                                 std::to_string(count) + " exceeds symbol "
-                                 "table in " + path_);
-    return false;
-  }
-  out->Reset();
-  uint64_t data_bytes = 0;
-  uint32_t previous = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t value = 0;
-    int value_bytes = 4;
-    const bool value_ok = fixed_width_
-                              ? ReadU32(stream_, &value)
-                              : internal::ReadVarint32(stream_, &value,
-                                                       &value_bytes);
-    if (!value_ok) {
-      status_ = Status::Corruption("truncated feature id in " + path_);
-      return false;
-    }
-    const uint32_t id = fixed_width_ || i == 0 ? value : previous + value;
-    if (id >= symbols_.size()) {
-      status_ = Status::Corruption("feature id out of range in " + path_);
-      return false;
-    }
-    out->Set(id);
-    previous = id;
-    data_bytes += static_cast<uint64_t>(value_bytes);
-  }
   ++delivered_;
   ++stats_.instants_read;
-  stats_.bytes_read += static_cast<uint64_t>(count_bytes) + data_bytes;
+  stats_.bytes_read += encoded_bytes;
   instants_counter_.Inc();
-  bytes_counter_.Inc(static_cast<uint64_t>(count_bytes) + data_bytes);
+  bytes_counter_.Inc(encoded_bytes);
   return true;
 }
 

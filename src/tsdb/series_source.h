@@ -2,13 +2,11 @@
 #define PPM_TSDB_SERIES_SOURCE_H_
 
 #include <cstdint>
-#include <fstream>
-#include <istream>
 #include <memory>
-#include <streambuf>
 #include <string>
 
 #include "obs/metrics.h"
+#include "tsdb/binary_format.h"
 #include "tsdb/symbol_table.h"
 #include "tsdb/time_series.h"
 #include "util/status.h"
@@ -98,7 +96,9 @@ class InMemorySeriesSource : public SeriesSource {
 ///
 /// v3 files are integrity-checked once at `Open` (header and payload CRCs,
 /// one extra sequential pass over the payload); scans then stream the
-/// verified region without recomputing checksums.
+/// verified region without recomputing checksums. Parsing goes through the
+/// same `internal::SeriesFileReader` as `ReadBinarySeries`, so the two
+/// accept and reject exactly the same files.
 class FileSeriesSource : public SeriesSource {
  public:
   /// Opens `path`, validates the header, and loads the symbol table.
@@ -107,23 +107,15 @@ class FileSeriesSource : public SeriesSource {
   Status StartScan() override;
   bool Next(FeatureSet* out) override;
   Status status() const override { return status_; }
-  uint64_t length() const override { return num_instants_; }
+  uint64_t length() const override { return reader_->num_instants(); }
   const SymbolTable& symbols() const override { return symbols_; }
 
  private:
-  FileSeriesSource() : stream_(nullptr) {}
+  FileSeriesSource() = default;
 
-  std::string path_;
-  std::ifstream file_;
-  // Reads go through `stream_`, whose buffer is either the file's own or a
-  // fault-injecting wrapper around it (tests); `fault_buf_` owns the latter.
-  std::unique_ptr<std::streambuf> fault_buf_;
-  std::istream stream_;
   SymbolTable symbols_;
-  uint64_t num_instants_ = 0;
-  std::streampos data_offset_ = 0;
+  std::unique_ptr<internal::SeriesFileReader> reader_;
   uint64_t delivered_ = 0;
-  bool fixed_width_ = true;  // v1 fixed-width vs v2/v3 delta+varint data.
   Status status_;
 };
 

@@ -9,7 +9,9 @@
 
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
+#include "tsdb/binary_format.h"
 #include "tsdb/fault_injection.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/fs.h"
 
@@ -19,120 +21,25 @@ namespace fs = std::filesystem;
 
 namespace {
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+/// A record frame's fixed header, decoded from the `kWalRecordHeaderBytes`
+/// bytes at `p`.
+struct RecordHeader {
+  explicit RecordHeader(const char* p) {
+    bytes::ByteReader in(std::string_view(p, kWalRecordHeaderBytes));
+    uint32_t header_crc = 0;
+    in.ReadU32(&len);
+    in.ReadU64(&seq);
+    in.ReadU32(&header_crc);
+    in.ReadU32(&payload_crc);
+    // The header CRC covers `len` and `seq`, the first 12 bytes.
+    intact = crc32c::Value(p, 12) == header_crc;
   }
-}
 
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendVarint32(std::string* out, uint32_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return value;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return value;
-}
-
-bool ReadVarint32Mem(const char* data, size_t len, size_t* pos,
-                     uint32_t* value) {
-  uint32_t result = 0;
-  int shift = 0;
-  while (true) {
-    if (*pos >= len) return false;
-    const unsigned char c = static_cast<unsigned char>(data[(*pos)++]);
-    result |= static_cast<uint32_t>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) break;
-    shift += 7;
-    if (shift >= 35) return false;  // Overlong encoding.
-  }
-  *value = result;
-  return true;
-}
-
-/// The v2 instant encoding: varint feature count, then the sorted ids
-/// delta-encoded (first absolute, then gaps >= 1).
-Status EncodeWalPayload(const FeatureSet& instant, std::string* out) {
-  AppendVarint32(out, instant.Count());
-  uint32_t prev = 0;
-  bool first = true;
-  Status status = Status::OK();
-  instant.ForEach([&](uint32_t feature) {
-    if (!status.ok()) return;
-    if (feature > kMaxWalFeatureId) {
-      status = Status::InvalidArgument("feature id beyond WAL cap: " +
-                                       std::to_string(feature));
-      return;
-    }
-    AppendVarint32(out, first ? feature : feature - prev);
-    prev = feature;
-    first = false;
-  });
-  return status;
-}
-
-Result<FeatureSet> DecodeWalPayload(const char* data, size_t len) {
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!ReadVarint32Mem(data, len, &pos, &count)) {
-    return Status::Corruption("WAL payload: truncated feature count");
-  }
-  // Each feature takes at least one encoded byte, so a count beyond the
-  // payload size is hostile before any allocation happens.
-  if (count > len) {
-    return Status::Corruption("WAL payload: implausible feature count");
-  }
-  FeatureSet instant;
-  uint32_t prev = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t value = 0;
-    if (!ReadVarint32Mem(data, len, &pos, &value)) {
-      return Status::Corruption("WAL payload: truncated feature id");
-    }
-    uint32_t feature;
-    if (i == 0) {
-      feature = value;
-    } else {
-      if (value == 0) {
-        return Status::Corruption("WAL payload: zero feature gap");
-      }
-      if (value > kMaxWalFeatureId - prev) {
-        return Status::Corruption("WAL payload: feature id overflow");
-      }
-      feature = prev + value;
-    }
-    if (feature > kMaxWalFeatureId) {
-      return Status::Corruption("WAL payload: feature id beyond cap");
-    }
-    instant.Set(feature);
-    prev = feature;
-  }
-  if (pos != len) {
-    return Status::Corruption("WAL payload: trailing bytes");
-  }
-  return instant;
-}
+  uint32_t len = 0;
+  uint64_t seq = 0;
+  uint32_t payload_crc = 0;
+  bool intact = false;
+};
 
 /// True when a structurally valid record (good header CRC, plausible
 /// length and sequence, good payload CRC) starts at or after `from`. Used
@@ -144,13 +51,13 @@ bool HasLaterValidRecord(const std::string& bytes, size_t from,
   for (size_t offset = from;
        offset + kWalRecordHeaderBytes <= bytes.size(); ++offset) {
     const char* p = bytes.data() + offset;
-    if (crc32c::Value(p, 12) != LoadU32(p + 12)) continue;
-    const uint32_t len = LoadU32(p);
-    const uint64_t seq = LoadU64(p + 4);
-    if (len > kMaxWalRecordBytes) continue;
-    if (seq < min_seq) continue;
-    if (offset + kWalRecordHeaderBytes + len > bytes.size()) continue;
-    if (crc32c::Value(p + kWalRecordHeaderBytes, len) != LoadU32(p + 16)) {
+    const RecordHeader header(p);
+    if (!header.intact) continue;
+    if (header.len > kMaxWalRecordBytes) continue;
+    if (header.seq < min_seq) continue;
+    if (offset + kWalRecordHeaderBytes + header.len > bytes.size()) continue;
+    if (crc32c::Value(p + kWalRecordHeaderBytes, header.len) !=
+        header.payload_crc) {
       continue;
     }
     return true;
@@ -207,11 +114,10 @@ Result<WalReplayInfo> ReplayWalImpl(
       break;
     }
     const char* p = bytes.data() + offset;
-    const uint32_t len = LoadU32(p);
-    const uint64_t seq = LoadU64(p + 4);
-    const uint32_t header_crc = LoadU32(p + 12);
-    const uint32_t payload_crc = LoadU32(p + 16);
-    if (crc32c::Value(p, 12) != header_crc) {
+    const RecordHeader header(p);
+    const uint32_t len = header.len;
+    const uint64_t seq = header.seq;
+    if (!header.intact) {
       // A damaged header hiding valid later records is interior corruption;
       // garbage with nothing valid after it is a torn tail.
       if (HasLaterValidRecord(bytes, offset + 1, expected_seq)) {
@@ -230,7 +136,7 @@ Result<WalReplayInfo> ReplayWalImpl(
       break;
     }
     const char* payload = p + kWalRecordHeaderBytes;
-    if (crc32c::Value(payload, len) != payload_crc) {
+    if (crc32c::Value(payload, len) != header.payload_crc) {
       if (offset + kWalRecordHeaderBytes + len == bytes.size()) {
         torn = true;  // Tail record with a half-written payload.
         break;
@@ -248,8 +154,17 @@ Result<WalReplayInfo> ReplayWalImpl(
           "WAL sequence gap: expected " + std::to_string(expected_seq) +
           ", found " + std::to_string(seq));
     }
-    PPM_ASSIGN_OR_RETURN(const FeatureSet instant,
-                         DecodeWalPayload(payload, len));
+    // A record payload is exactly one v2-encoded instant.
+    bytes::ByteReader record(std::string_view(payload, len));
+    FeatureSet instant;
+    const Status decoded =
+        internal::DecodeInstant(&record, kMaxWalFeatureId + 1, &instant);
+    if (!decoded.ok()) {
+      return Status::Corruption("WAL payload: " + decoded.message());
+    }
+    if (!record.exhausted()) {
+      return Status::Corruption("WAL payload: trailing bytes");
+    }
     if (seq >= start_seq) {
       PPM_RETURN_IF_ERROR(fn(seq, instant));
       ++info.records_delivered;
@@ -357,14 +272,19 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenImpl(const std::string& path,
 }
 
 Status WalWriter::Append(const FeatureSet& instant) {
+  const uint32_t too_large = instant.FindNext(kMaxWalFeatureId + 1);
+  if (too_large != FeatureSet::kNoBit) {
+    return Status::InvalidArgument("feature id beyond WAL cap: " +
+                                   std::to_string(too_large));
+  }
   std::string payload;
-  PPM_RETURN_IF_ERROR(EncodeWalPayload(instant, &payload));
+  internal::EncodeInstant(instant, &payload);
   std::string frame;
   frame.reserve(kWalRecordHeaderBytes + payload.size());
-  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-  AppendU64(&frame, next_seq_);
-  AppendU32(&frame, crc32c::Value(frame.data(), 12));
-  AppendU32(&frame, crc32c::Value(payload));
+  bytes::PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  bytes::PutU64(&frame, next_seq_);
+  bytes::PutU32(&frame, crc32c::Value(frame.data(), 12));
+  bytes::PutU32(&frame, crc32c::Value(payload));
   frame += payload;
 
   if (FaultInjector::Global().ConsumeWalAppendCrash()) {

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dist/shard_plan.h"
 #include "dist/shard_result.h"
+#include "util/crc32c.h"
 
 namespace ppm::dist {
 namespace {
@@ -143,6 +145,47 @@ TEST(PlanFileTest, DifferentParametersDifferentFingerprint) {
   EXPECT_NE(a->fingerprint, b->fingerprint);
   std::remove(a_path.c_str());
   std::remove(b_path.c_str());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Byte-identity pins: a fixed plan (fixed input path, not a temp path) and
+// a fixed shard result, as size + CRC-32C of the written files.
+TEST(PlanFileTest, GoldenBytesArePinned) {
+  const std::string path = testing::TempDir() + "/golden.plan";
+  MiningOptions options = BaseOptions();
+  options.min_count = 3;
+  options.max_letters = 5;
+  auto plan = PlanShards(
+      {{"series/a.ppmts", 4 * 12}, {"series/b.ppmts", 4 * 5}}, options, 3);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(WritePlanFile(&*plan, path).ok());
+  const std::string bytes = FileBytes(path);
+  EXPECT_EQ(bytes.size(), 268u);
+  EXPECT_EQ(crc32c::Value(bytes), 0xd0de6c81u);
+  std::remove(path.c_str());
+}
+
+TEST(ShardResultFileTest, GoldenBytesArePinned) {
+  const std::string path = testing::TempDir() + "/golden.result";
+  ShardResult result;
+  result.plan_fingerprint = 0x1234abcdu;
+  result.shard_id = 2;
+  result.input_index = 1;
+  result.segment_begin = 8;
+  result.segment_end = 12;
+  result.symbols = {"a", "bb", "ccc"};
+  result.letter_counts = {{{0, 0}, 4}, {{1, 2}, 3}, {{3, 1}, 1}};
+  result.hits = {{{{0, 0}, {1, 2}}, 2}, {{{0, 0}, {3, 1}}, 1}};
+  ASSERT_TRUE(WriteShardResultFile(result, path).ok());
+  const std::string bytes = FileBytes(path);
+  EXPECT_EQ(bytes.size(), 190u);
+  EXPECT_EQ(crc32c::Value(bytes), 0x8040d957u);
+  std::remove(path.c_str());
 }
 
 TEST(PlanTest, ToMiningOptionsCarriesParameters) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "tsdb/time_series.h"
+#include "util/crc32c.h"
 
 namespace ppm::service::wire {
 namespace {
@@ -107,6 +108,61 @@ TEST(WireTest, GetResponseSeriesRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_TRUE(decoded->has_series);
   EXPECT_EQ(decoded->series.length(), 1u);
+}
+
+// Byte-identity pins: v1 and v2 request/response frames (header + payload)
+// as size + CRC-32C of the exact frame bytes.
+TEST(WireTest, GoldenFramesArePinned) {
+  Request put;
+  put.op = Op::kPut;
+  put.name = "s";
+  put.series.AppendNamed({"a", "b"});
+  put.series.AppendNamed({"b"});
+  put.series.AppendNamed({});
+  Request append;
+  append.op = Op::kAppend;
+  append.name = "s";
+  append.tenant = "acme";
+  append.instants = {{"x", "y"}, {}, {"z"}};
+
+  Response response;
+  response.code = 0;
+  response.message = "ok";
+  response.cache_outcome = 1;
+  response.version = 3;
+  response.length = 12;
+  response.num_periods = 3;
+  response.period = 4;
+  response.symbols = {"a", "b"};
+  WirePattern pattern;
+  pattern.letters = {{0, 1}, {3, 0}};
+  pattern.count = 2;
+  pattern.confidence = 0.75;
+  response.patterns.push_back(pattern);
+  response.has_series = true;
+  response.series.AppendNamed({"q", "r"});
+  response.stats_json = "{}";
+  response.retry_after_ms = 250;
+  response.ready_state = 1;
+  response.health_json = "{\"h\":1}";
+
+  struct Golden {
+    std::string frame;
+    size_t size;
+    uint32_t crc;
+  };
+  const Golden goldens[] = {
+      {EncodeFrame(EncodeRequest(MakeMineRequest(), 1)), 51, 0x39951ca2u},
+      {EncodeFrame(EncodeRequest(put, 1)), 64, 0x7e9316fcu},
+      {EncodeFrame(EncodeRequest(append, 2)), 62, 0x4c344ad6u},
+      {EncodeFrame(EncodeResponse(response, 1)), 147, 0x1743ed5bu},
+      {EncodeFrame(EncodeResponse(response, 2)), 164, 0x41b2e8d2u},
+  };
+  for (size_t i = 0; i < sizeof(goldens) / sizeof(goldens[0]); ++i) {
+    EXPECT_EQ(goldens[i].frame.size(), goldens[i].size) << "frame " << i;
+    EXPECT_EQ(crc32c::Value(goldens[i].frame), goldens[i].crc)
+        << "frame " << i;
+  }
 }
 
 TEST(WireTest, V2RequestCarriesTenantAndRoundTrips) {

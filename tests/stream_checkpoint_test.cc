@@ -24,6 +24,7 @@
 #include "stream/streaming_miner.h"
 #include "tsdb/fault_injection.h"
 #include "tsdb/wal.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace ppm::stream {
@@ -338,6 +339,20 @@ TEST_F(CheckpointDirTest, WriteReadCheckpointRoundTrip) {
   auto restored = RestoreMiner(*data, DefaultOptions());
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectStatesEqual((*restored)->ExportState(), miner->ExportState());
+}
+
+// Byte-identity pin: the checkpoint of a fixed windowed stream as size +
+// CRC-32C of the file.
+TEST_F(CheckpointDirTest, GoldenBytesArePinned) {
+  const TimeSeries series = MakeSeries(60, 5);
+  ContinuousOptions continuous;
+  continuous.window_segments = 4;
+  auto miner = SeededContinuousMiner(series, 24, continuous);
+  for (uint64_t t = 24; t < 43; ++t) miner->Append(series.at(t));
+  ASSERT_TRUE(WriteCheckpoint(*miner, series.symbols(), dir_).ok());
+  const std::string bytes = FileBytes(CheckpointPath(dir_));
+  EXPECT_EQ(bytes.size(), 291u);
+  EXPECT_EQ(crc32c::Value(bytes), 0x5aab3f3au);
 }
 
 TEST_F(CheckpointDirTest, KillPointMatrixRecoversDeterministically) {

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace ppm::tsdb {
@@ -108,6 +109,34 @@ TEST_F(CodecTest, ReadTruncatedFails) {
   out.close();
   auto loaded = ReadBinarySeries(path);
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+// Byte-identity pin: the exact encoding of a fixed series in every binary
+// version, as size + CRC-32C of the file. A refactor of the codec must keep
+// these bytes; a deliberate format change updates the constants.
+TEST_F(CodecTest, GoldenBytesArePinned) {
+  struct Golden {
+    BinaryFormatVersion version;
+    size_t size;
+    uint32_t crc;
+  };
+  const Golden goldens[] = {
+      {BinaryFormatVersion::kV1, 90, 0x6a33ea95u},
+      {BinaryFormatVersion::kV2, 60, 0x15517b1fu},
+      {BinaryFormatVersion::kV3, 80, 0xecc76a63u},
+  };
+  const TimeSeries series = MakeSampleSeries();
+  const std::string path = TempPath("golden.bin");
+  for (const Golden& golden : goldens) {
+    ASSERT_TRUE(WriteBinarySeries(series, path, golden.version).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const int v = static_cast<int>(golden.version);
+    EXPECT_EQ(bytes.size(), golden.size) << "v" << v;
+    EXPECT_EQ(crc32c::Value(bytes), golden.crc) << "v" << v;
+  }
   std::remove(path.c_str());
 }
 

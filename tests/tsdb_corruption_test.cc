@@ -15,10 +15,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "tsdb/binary_format.h"
 #include "tsdb/series_codec.h"
 #include "tsdb/series_source.h"
 #include "tsdb/time_series.h"
+#include "util/bytes.h"
+#include "util/crc32c.h"
 
 namespace ppm::tsdb {
 namespace {
@@ -122,17 +126,76 @@ TEST_P(CorruptionTest, BitFlipAtEveryOffsetNeverCrashes) {
     }
 
     auto source = FileSeriesSource::Open(path_);
+    std::vector<FeatureSet> scanned;
     if (GetParam() == BinaryFormatVersion::kV3) {
       EXPECT_FALSE(source.ok())
           << "v3 source failed to detect a flip at offset " << offset;
     } else if (source.ok()) {
       FeatureSet instant;
       if ((*source)->StartScan().ok()) {
-        while ((*source)->Next(&instant)) {
-        }
+        while ((*source)->Next(&instant)) scanned.push_back(instant);
+      }
+    }
+
+    // The batch reader and the streaming source accept exactly the same
+    // files, and when both accept one they see the same series.
+    const bool source_clean = source.ok() && (*source)->status().ok() &&
+                              scanned.size() == (*source)->length();
+    EXPECT_EQ(series.ok(), source_clean) << "readers disagree at offset "
+                                         << offset;
+    if (series.ok() && source_clean) {
+      EXPECT_EQ((*source)->symbols().names(), series->symbols().names())
+          << "offset " << offset;
+      ASSERT_EQ(scanned.size(), series->length()) << "offset " << offset;
+      for (uint64_t t = 0; t < series->length(); ++t) {
+        EXPECT_EQ(scanned[t], series->at(t))
+            << "instant " << t << ", offset " << offset;
       }
     }
   }
+}
+
+/// A file whose symbol table names `a` twice, in `version`'s layout (v3 with
+/// valid CRCs, so only the symbol table is wrong). Two instants, {0} and {}.
+std::string DuplicateSymbolFile(BinaryFormatVersion version) {
+  std::string header;
+  bytes::PutU32(&header, 2);
+  bytes::PutString(&header, "a");
+  bytes::PutString(&header, "a");
+  bytes::PutU64(&header, 2);
+  std::string instants;
+  if (version == BinaryFormatVersion::kV1) {
+    bytes::PutU32(&instants, 1);
+    bytes::PutU32(&instants, 0);
+    bytes::PutU32(&instants, 0);
+  } else {
+    bytes::PutVarint32(&instants, 1);
+    bytes::PutVarint32(&instants, 0);
+    bytes::PutVarint32(&instants, 0);
+  }
+  switch (version) {
+    case BinaryFormatVersion::kV1:
+      return std::string(internal::kMagic, 8) + header + instants;
+    case BinaryFormatVersion::kV2:
+      return std::string(internal::kMagicV2, 8) + header + instants;
+    case BinaryFormatVersion::kV3:
+      break;
+  }
+  std::string file(internal::kMagicV3, 8);
+  bytes::PutU32(&file, static_cast<uint32_t>(header.size()));
+  bytes::PutU32(&file, crc32c::Value(header));
+  file += header;
+  bytes::PutU64(&file, instants.size());
+  bytes::PutU32(&file, crc32c::Value(instants));
+  return file + instants;
+}
+
+TEST_P(CorruptionTest, DuplicateSymbolIsCorruptionForBothReaders) {
+  WriteBytes(path_, DuplicateSymbolFile(GetParam()));
+  const auto series = ReadBinarySeries(path_);
+  EXPECT_EQ(series.status().code(), StatusCode::kCorruption);
+  const auto source = FileSeriesSource::Open(path_);
+  EXPECT_EQ(source.status().code(), StatusCode::kCorruption);
 }
 
 TEST_P(CorruptionTest, IntactFileStillRoundTrips) {

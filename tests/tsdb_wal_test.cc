@@ -107,6 +107,14 @@ TEST_F(WalTest, RoundTrip) {
   EXPECT_EQ(info->dropped_bytes, 0u);
 }
 
+// Byte-identity pin: a 3-record WAL as size + CRC-32C of the file.
+TEST_F(WalTest, GoldenBytesArePinned) {
+  WriteWal(3);
+  const std::string bytes = FileBytes(path_);
+  EXPECT_EQ(bytes.size(), 77u);
+  EXPECT_EQ(crc32c::Value(bytes), 0x4b9e68efu);
+}
+
 TEST_F(WalTest, StartSeqSkipsCheckpointCoveredRecords) {
   const std::vector<FeatureSet> written = WriteWal(20);
   Result<WalReplayInfo> info = Status::Internal("unset");
