@@ -10,7 +10,7 @@
 #include "bench/bench_util.h"
 #include "core/hitset_miner.h"
 #include "obs/json_writer.h"
-#include "stream/streaming_miner.h"
+#include "stream/continuous_miner.h"
 #include "tsdb/series_source.h"
 #include "util/stopwatch.h"
 
@@ -33,7 +33,8 @@ void Run(obs::JsonWriter* rows) {
   tsdb::TimeSeries prefix;
   prefix.symbols() = data.series.symbols();
   for (uint64_t t = 0; t < seed_prefix; ++t) prefix.Append(data.series.at(t));
-  auto miner = DieOr(stream::StreamingMiner::SeedFromPrefix(options, prefix));
+  auto miner =
+      DieOr(stream::ContinuousMiner::SeedFromPrefix(options, prefix));
 
   std::printf("%12s %14s %16s %16s %10s\n", "instants", "append(Mi/s)",
               "snapshot(ms)", "batch_remine(ms)", "patterns");

@@ -186,6 +186,34 @@ grep '^period=' "$SMOKE_DIR/stream-resumed.out" > "$SMOKE_DIR/resumed-m"
 diff "$SMOKE_DIR/ref-m" "$SMOKE_DIR/resumed-m"
 echo "crash-recovery smoke OK: kill at append 3500, resume matches reference"
 
+# The same kill-and-resume for a windowed stream: the resumed run must also
+# carry the window's eviction and compaction state across the kill, so its
+# pattern lines and its `period=` line (effective_m, evicted) must match an
+# uninterrupted windowed reference.
+WINDOWED_FLAGS=(--period 20 --min-conf 0.8 --window 40 --drift-window 5
+  --compact-every 7 --checkpoint-every 8 --wal-fsync never)
+"$PPM" stream --input "$SMOKE_DIR/stream.bin" "${WINDOWED_FLAGS[@]}" \
+  --checkpoint-dir "$SMOKE_DIR/wref-ckpt" > "$SMOKE_DIR/wstream-ref.out"
+set +e
+"$PPM" stream --input "$SMOKE_DIR/stream.bin" "${WINDOWED_FLAGS[@]}" \
+  --checkpoint-dir "$SMOKE_DIR/wcrash-ckpt" --crash-after-appends 3500 \
+  > /dev/null
+WCRASH_EXIT=$?
+set -e
+[[ "$WCRASH_EXIT" == 137 ]] || { echo "windowed crash exit was $WCRASH_EXIT, want 137"; exit 1; }
+"$PPM" stream --input "$SMOKE_DIR/stream.bin" "${WINDOWED_FLAGS[@]}" \
+  --checkpoint-dir "$SMOKE_DIR/wcrash-ckpt" --resume \
+  > "$SMOKE_DIR/wstream-resumed.out"
+grep -q "(resumed)" "$SMOKE_DIR/wstream-resumed.out"
+grep -q 'effective_m=40' "$SMOKE_DIR/wstream-ref.out"
+grep '^  count=' "$SMOKE_DIR/wstream-ref.out" > "$SMOKE_DIR/wref-patterns"
+grep '^  count=' "$SMOKE_DIR/wstream-resumed.out" > "$SMOKE_DIR/wresumed-patterns"
+diff "$SMOKE_DIR/wref-patterns" "$SMOKE_DIR/wresumed-patterns"
+grep '^period=' "$SMOKE_DIR/wstream-ref.out" > "$SMOKE_DIR/wref-m"
+grep '^period=' "$SMOKE_DIR/wstream-resumed.out" > "$SMOKE_DIR/wresumed-m"
+diff "$SMOKE_DIR/wref-m" "$SMOKE_DIR/wresumed-m"
+echo "windowed crash-recovery smoke OK: kill at append 3500, resume matches reference"
+
 # Incremental-vs-batch smoke (docs/INCREMENTAL.md): mining a prefix, letting
 # the series grow, and resuming must report byte-identical pattern lines to
 # a one-shot stream over the final series -- and the catch-up must cost one
