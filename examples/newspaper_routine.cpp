@@ -76,11 +76,9 @@ void PrintPatterns(const ppm::MiningResult& result,
                    const ppm::tsdb::SymbolTable& symbols) {
   for (const ppm::FrequentPattern& entry : ppm::MaximalPatterns(result)) {
     std::printf("  conf=%.2f  letters:", entry.confidence);
-    for (uint32_t offset = 0; offset < entry.pattern.period(); ++offset) {
-      entry.pattern.at(offset).ForEach([&](uint32_t id) {
-        std::printf(" [%s: %s]", SlotName(offset),
-                    symbols.NameOrPlaceholder(id).c_str());
-      });
+    for (const ppm::Letter& letter : entry.pattern.letters()) {
+      std::printf(" [%s: %s]", SlotName(letter.position),
+                  symbols.NameOrPlaceholder(letter.feature).c_str());
     }
     std::printf("\n");
   }

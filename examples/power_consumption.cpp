@@ -69,12 +69,10 @@ int main() {
   std::printf("== Hourly load bands periodic at the daily period "
               "(conf >= 0.70) ==\n");
   for (const ppm::FrequentPattern& entry : result->patterns()) {
-    for (uint32_t hour = 0; hour < 24; ++hour) {
-      entry.pattern.at(hour).ForEach([&](uint32_t id) {
-        std::printf("  %02u:00  %-6s conf=%.2f\n", hour,
-                    series->symbols().NameOrPlaceholder(id).c_str(),
-                    entry.confidence);
-      });
+    for (const ppm::Letter& letter : entry.pattern.letters()) {
+      std::printf("  %02u:00  %-6s conf=%.2f\n", letter.position,
+                  series->symbols().NameOrPlaceholder(letter.feature).c_str(),
+                  entry.confidence);
     }
   }
 
@@ -110,17 +108,16 @@ int main() {
     int shown = 0;
     for (const auto& entry : level.result.patterns()) {
       if (entry.pattern.LetterCount() != 1 || shown >= 8) continue;
-      for (uint32_t hour = 0; hour < 24 && shown < 8; ++hour) {
-        entry.pattern.at(hour).ForEach([&](uint32_t id) {
-          const std::string name =
-              level.series.symbols().NameOrPlaceholder(id);
-          // At depth 2 the coarse bands pass through unchanged; list only
-          // the letters refined at this depth.
-          if (level.depth > 1 && name.find("lo") == std::string::npos) return;
-          std::printf("  %02u:00  %-8s conf=%.2f\n", hour, name.c_str(),
-                      entry.confidence);
-          ++shown;
-        });
+      for (const ppm::Letter& letter : entry.pattern.letters()) {
+        if (shown >= 8) break;
+        const std::string name =
+            level.series.symbols().NameOrPlaceholder(letter.feature);
+        // At depth 2 the coarse bands pass through unchanged; list only
+        // the letters refined at this depth.
+        if (level.depth > 1 && name.find("lo") == std::string::npos) continue;
+        std::printf("  %02u:00  %-8s conf=%.2f\n", letter.position,
+                    name.c_str(), entry.confidence);
+        ++shown;
       }
     }
   }

@@ -23,11 +23,9 @@ const char* kDayNames[7] = {"Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"};
 void PrintPattern(const ppm::Pattern& pattern,
                   const ppm::tsdb::SymbolTable& symbols, double confidence) {
   std::printf("  conf=%.2f ", confidence);
-  for (uint32_t day = 0; day < 7; ++day) {
-    pattern.at(day).ForEach([&](uint32_t id) {
-      std::printf(" [%s %s]", kDayNames[day],
-                  symbols.NameOrPlaceholder(id).c_str());
-    });
+  for (const ppm::Letter& letter : pattern.letters()) {
+    std::printf(" [%s %s]", kDayNames[letter.position],
+                symbols.NameOrPlaceholder(letter.feature).c_str());
   }
   std::printf("\n");
 }

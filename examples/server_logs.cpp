@@ -98,12 +98,10 @@ int main() {
   std::printf("\ndaily patterns (conf >= 0.85):\n");
   for (const FrequentPattern& entry : daily->patterns()) {
     if (entry.pattern.LetterCount() != 1) continue;
-    for (uint32_t hour = 0; hour < 24; ++hour) {
-      entry.pattern.at(hour).ForEach([&](uint32_t id) {
-        std::printf("  %02u:00 %-14s conf=%.2f\n", hour,
-                    series->symbols().NameOrPlaceholder(id).c_str(),
-                    entry.confidence);
-      });
+    for (const Letter& letter : entry.pattern.letters()) {
+      std::printf("  %02u:00 %-14s conf=%.2f\n", letter.position,
+                  series->symbols().NameOrPlaceholder(letter.feature).c_str(),
+                  entry.confidence);
     }
   }
 

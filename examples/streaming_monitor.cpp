@@ -40,11 +40,10 @@ void PrintSnapshot(const ppm::stream::ContinuousMiner& miner,
               snapshot.size());
   for (const ppm::FrequentPattern& entry : snapshot.patterns()) {
     if (entry.pattern.LetterCount() != 1) continue;
-    for (uint32_t hour = 0; hour < kHoursPerDay; ++hour) {
-      entry.pattern.at(hour).ForEach([&](uint32_t id) {
-        std::printf(" [%02u:00 %s %.2f]", hour,
-                    symbols.NameOrPlaceholder(id).c_str(), entry.confidence);
-      });
+    for (const ppm::Letter& letter : entry.pattern.letters()) {
+      std::printf(" [%02u:00 %s %.2f]", letter.position,
+                  symbols.NameOrPlaceholder(letter.feature).c_str(),
+                  entry.confidence);
     }
   }
   std::printf("\n");

@@ -96,6 +96,36 @@ assert counters["ppm.scan.passes.second_scan"] == 1, counters
 print("smoke OK: db_passes == 2 at --threads 4")
 EOF
 
+# Long-pattern smoke: |F1| = 20 with a planted MAX-PAT-LENGTH 16 anchor
+# gives 2^16 - 1 anchor subpatterns plus 4 independent letters = 65,539
+# frequent patterns, so result assembly dominates the mine. Every pattern
+# line must be byte-identical at 1 and 4 threads (the header differs only in
+# `scans=`, the source scans: a pooled run reads the series once), and result
+# assembly must run inside a `mine.result` span (docs/OBSERVABILITY.md).
+"$PPM" generate --output "$SMOKE_DIR/long.bin" --length 20000 --period 50 \
+  --num-f1 20 --max-pat-length 16 --seed 7
+for threads in 1 4; do
+  "$PPM" mine --input "$SMOKE_DIR/long.bin" --period 50 --min-conf 0.8 \
+    --top 0 --threads "$threads" --stats-json "$SMOKE_DIR/long-stats.json" \
+    > "$SMOKE_DIR/long-t$threads.out"
+  python3 - "$SMOKE_DIR/long-stats.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    stats = json.load(f)
+assert stats["meta"]["patterns"] == "65539", stats["meta"]
+span_names = {s["name"] for s in stats["spans"]}
+assert {"cli.load", "mine.hitset", "mine.result", "cli.output"} <= span_names, span_names
+EOF
+done
+diff <(tail -n +2 "$SMOKE_DIR/long-t1.out") <(tail -n +2 "$SMOKE_DIR/long-t4.out")
+grep -q ' patterns=65539$' "$SMOKE_DIR/long-t1.out"
+[[ "$(grep -c '^  count=' "$SMOKE_DIR/long-t1.out")" == 65539 ]] || {
+  echo "long-pattern smoke: expected 65539 pattern lines"; exit 1;
+}
+echo "long-pattern smoke OK: 65539 patterns, threads 1 == threads 4, mine.result spanned"
+
 # Perf-regression gate (docs/BENCHMARKING.md): a fresh ci-profile bench run
 # must match the committed BENCH_*.json baselines on every exact field
 # (scan counts, db passes, candidates, patterns, bytes read), and the

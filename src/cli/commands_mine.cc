@@ -33,15 +33,18 @@ Status RunMine(const ArgMap& args, std::ostream& out) {
                                          "metrics-prom", "trace-out",
                                          "deadline-ms", "memory-budget-mb",
                                          "budget-policy"}));
-  PPM_ASSIGN_OR_RETURN(tsdb::TimeSeries series,
-                       LoadSeries(args.GetString("input", "")));
-  PPM_ASSIGN_OR_RETURN(MiningOptions options, MiningOptionsFromArgs(args));
-  PPM_ASSIGN_OR_RETURN(const uint64_t top, args.GetUint("top", 50));
-
   // Scope metrics and spans to this run so the emitted report covers only
-  // the work below (the registry is process-global).
+  // the work below (the registry is process-global). Loading the input is
+  // part of the run: it gets its own span, as does writing the output.
   obs::MetricsRegistry::Global().Reset();
   obs::Tracer::Global().Clear();
+  tsdb::TimeSeries series;
+  {
+    const obs::TraceSpan span = obs::Tracer::Global().StartSpan("cli.load");
+    PPM_ASSIGN_OR_RETURN(series, LoadSeries(args.GetString("input", "")));
+  }
+  PPM_ASSIGN_OR_RETURN(MiningOptions options, MiningOptionsFromArgs(args));
+  PPM_ASSIGN_OR_RETURN(const uint64_t top, args.GetUint("top", 50));
 
   const std::string algorithm = args.GetString("algorithm", "hitset");
   tsdb::InMemorySeriesSource source(&series);
@@ -75,6 +78,7 @@ Status RunMine(const ArgMap& args, std::ostream& out) {
   }
   MiningResult result = std::move(*mined);
 
+  obs::TraceSpan output_span = obs::Tracer::Global().StartSpan("cli.output");
   out << "period=" << options.period << " m=" << result.stats().num_periods
       << " |F1|=" << result.stats().num_f1_letters
       << " scans=" << result.stats().scans << " patterns=" << result.size()
@@ -105,6 +109,7 @@ Status RunMine(const ArgMap& args, std::ostream& out) {
     PPM_RETURN_IF_ERROR(WritePatternsFile(result, series.symbols(), save_path));
     out << "saved " << result.size() << " patterns to " << save_path << "\n";
   }
+  output_span.End();
   if (args.Has("trace-out")) {
     const std::string trace_path = args.GetString("trace-out", "");
     PPM_RETURN_IF_ERROR(obs::Tracer::Global().WriteChromeTrace(trace_path));

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/candidate_gen.h"
+#include "core/derivation.h"
 #include "core/f1_scan.h"
 #include "core/fault_metrics.h"
 #include "core/scan_accounting.h"
@@ -14,23 +15,6 @@
 #include "util/log.h"
 
 namespace ppm {
-
-namespace {
-
-void EmitLevel(const F1ScanResult& f1, const std::vector<LevelEntry>& level,
-               MiningResult* result) {
-  const double denom = static_cast<double>(f1.num_periods);
-  for (const LevelEntry& entry : level) {
-    FrequentPattern frequent;
-    frequent.pattern = f1.space.MaskToPattern(entry.mask);
-    frequent.count = entry.count;
-    frequent.confidence =
-        denom > 0 ? static_cast<double>(entry.count) / denom : 0.0;
-    result->patterns().push_back(std::move(frequent));
-  }
-}
-
-}  // namespace
 
 Result<MiningResult> MineApriori(tsdb::SeriesSource& source,
                                  const MiningOptions& options) {
@@ -90,7 +74,10 @@ Result<MiningResult> MineApriori(tsdb::SeriesSource& source,
     frequent = std::move(next);
   }
 
-  result.Canonicalize();
+  {
+    const obs::TraceSpan span = obs::Tracer::Global().StartSpan("mine.result");
+    result.Canonicalize();
+  }
   result.stats().scans = source.stats().scans - scans_before;
   result.stats().instants_read = source.stats().instants_read - instants_before;
   mine_span.End();

@@ -1,8 +1,8 @@
 #include "core/derivation.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "core/candidate_gen.h"
 #include "core/scan_accounting.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,21 +10,23 @@
 
 namespace ppm {
 
-namespace {
-
 void EmitLevel(const F1ScanResult& f1, const std::vector<LevelEntry>& level,
                MiningResult* result) {
+  const obs::TraceSpan span = obs::Tracer::Global().StartSpan("mine.result");
+  std::vector<const LevelEntry*> order;
+  order.reserve(level.size());
+  for (const LevelEntry& entry : level) order.push_back(&entry);
+  std::sort(order.begin(), order.end(),
+            [&f1](const LevelEntry* a, const LevelEntry* b) {
+              return f1.space.MaskLess(a->mask, b->mask);
+            });
   const double denom = static_cast<double>(f1.num_periods);
-  for (const LevelEntry& entry : level) {
-    FrequentPattern frequent;
-    frequent.pattern = f1.space.MaskToPattern(entry.mask);
-    frequent.count = entry.count;
-    frequent.confidence = denom > 0 ? static_cast<double>(entry.count) / denom : 0.0;
-    result->patterns().push_back(std::move(frequent));
+  for (const LevelEntry* entry : order) {
+    result->patterns().push_back(
+        {f1.space.MaskToPattern(entry->mask), entry->count,
+         denom > 0 ? static_cast<double>(entry->count) / denom : 0.0});
   }
 }
-
-}  // namespace
 
 DerivationStats DeriveFrequentPatterns(
     const F1ScanResult& f1, uint32_t max_letters,

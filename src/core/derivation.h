@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "core/candidate_gen.h"
 #include "core/f1_scan.h"
 #include "core/mining_result.h"
 #include "util/bitset.h"
@@ -24,12 +25,21 @@ struct DerivationStats {
   Status status = Status::OK();
 };
 
+/// Appends one level of frequent entries (all of one letter count) to
+/// `*result` in canonical order, inside a `mine.result` span. The masks are
+/// sorted with `LetterSpace::MaskLess` and only then turned into patterns,
+/// so a result built level by level in ascending letter count is already
+/// canonical.
+void EmitLevel(const F1ScanResult& f1, const std::vector<LevelEntry>& level,
+               MiningResult* result);
+
 /// Derives the complete frequent pattern set from per-candidate counts
 /// (Algorithm 4.2): level 1 comes from the exact `F_1` counts of `f1`;
 /// each higher level generates candidates Apriori-style from the previous
 /// frequent level and evaluates them with `count_fn` (typically
 /// `HitStore::CountSuperpatterns`). Stops at `max_letters` levels when
-/// nonzero. Appends patterns to `*result` (unsorted; callers canonicalize).
+/// nonzero. Appends patterns to `*result` level by level via `EmitLevel`,
+/// so a result that was empty on entry comes out canonical.
 ///
 /// Each level's candidates -- a slice of the subpattern lattice of `C_max`
 /// -- are counted in chunks: inline as one chunk when `pool` is null,

@@ -139,7 +139,10 @@ Result<MiningResult> MineHitSet(tsdb::SeriesSource& source,
       budget.unlimited() ? nullptr : &budget);
   if (!derivation.status.ok()) return RecordFault(derivation.status);
 
-  result.Canonicalize();
+  {
+    const obs::TraceSpan span = obs::Tracer::Global().StartSpan("mine.result");
+    result.Canonicalize();
+  }
   result.stats().candidates_evaluated = derivation.candidates_evaluated;
   result.stats().max_level_reached = derivation.max_level_reached;
   result.stats().hit_store_entries = store.num_entries();

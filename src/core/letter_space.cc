@@ -25,12 +25,21 @@ LetterSpace::LetterSpace(uint32_t period, std::vector<Letter> letters)
 }
 
 Pattern LetterSpace::MaskToPattern(const Bitset& mask) const {
-  Pattern pattern(period_);
+  std::vector<Letter> letters;
+  letters.reserve(mask.Count());
   mask.ForEach([&](uint32_t index) {
     PPM_CHECK(index < letters_.size());
-    pattern.AddLetter(letters_[index].position, letters_[index].feature);
+    letters.push_back(letters_[index]);
   });
-  return pattern;
+  return Pattern(period_, std::move(letters));
+}
+
+bool LetterSpace::MaskLess(const Bitset& a, const Bitset& b) const {
+  const uint32_t first = a.FindFirstDifference(b);
+  if (first == Bitset::kNoBit) return false;
+  PPM_DCHECK(first < letters_.size());
+  const uint32_t end = position_begin_[letters_[first].position + 1];
+  return b.Test(a.FindLastDifference(b, end));
 }
 
 Result<Bitset> LetterSpace::PatternToMask(const Pattern& pattern) const {
@@ -38,17 +47,12 @@ Result<Bitset> LetterSpace::PatternToMask(const Pattern& pattern) const {
     return Status::InvalidArgument("pattern period mismatch");
   }
   Bitset mask(size());
-  Status error;
-  for (uint32_t position = 0; position < period_; ++position) {
-    pattern.at(position).ForEach([&](uint32_t feature) {
-      const uint32_t index = IndexOf(position, feature);
-      if (index == Bitset::kNoBit) {
-        error = Status::NotFound("pattern letter outside letter space");
-        return;
-      }
-      mask.Set(index);
-    });
-    if (!error.ok()) return error;
+  for (const Letter& letter : pattern.letters()) {
+    const uint32_t index = IndexOf(letter.position, letter.feature);
+    if (index == Bitset::kNoBit) {
+      return Status::NotFound("pattern letter outside letter space");
+    }
+    mask.Set(index);
   }
   return mask;
 }

@@ -12,21 +12,6 @@
 
 namespace ppm {
 
-/// One letter of a candidate max-pattern: a feature pinned to a period
-/// offset.
-struct Letter {
-  uint32_t position = 0;
-  tsdb::FeatureId feature = 0;
-
-  friend bool operator==(const Letter& a, const Letter& b) {
-    return a.position == b.position && a.feature == b.feature;
-  }
-  friend bool operator<(const Letter& a, const Letter& b) {
-    if (a.position != b.position) return a.position < b.position;
-    return a.feature < b.feature;
-  }
-};
-
 /// Canonical indexing of the letters of a candidate max-pattern `C_max`.
 ///
 /// After the first scan finds the frequent 1-patterns `F_1`, every remaining
@@ -57,6 +42,12 @@ class LetterSpace {
 
   /// Converts a letter subset to the pattern it denotes.
   Pattern MaskToPattern(const Bitset& mask) const;
+
+  /// `Pattern::operator<` on the patterns two masks of this space denote,
+  /// without building them: the lowest differing letter names the first
+  /// differing position, and the highest differing letter at that position
+  /// belongs to the greater mask.
+  bool MaskLess(const Bitset& a, const Bitset& b) const;
 
   /// Converts a pattern to its letter mask; fails with `NotFound` when the
   /// pattern uses a letter outside this space, or `InvalidArgument` when the

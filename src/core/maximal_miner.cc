@@ -1,5 +1,6 @@
 #include "core/maximal_miner.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/fault_metrics.h"
 #include "core/hit_store.h"
 #include "core/hitset_miner.h"
+#include "obs/trace.h"
 #include "parallel/segment_scan.h"
 #include "util/cancellation.h"
 #include "util/stopwatch.h"
@@ -153,16 +155,25 @@ Result<MiningResult> MineMaximalHitSet(tsdb::SeriesSource& source,
   // The search unwinds quietly on interruption; discard the partial
   // antichain rather than present it as the maximal set.
   PPM_RETURN_IF_INTERRUPTED_RECORDED(interrupt);
-  const double denom = static_cast<double>(f1.num_periods);
-  for (auto& [mask, count] : maximal) {
-    FrequentPattern entry;
-    entry.pattern = f1.space.MaskToPattern(mask);
-    entry.count = count;
-    entry.confidence = denom > 0 ? static_cast<double>(count) / denom : 0.0;
-    result.patterns().push_back(std::move(entry));
+  {
+    // Canonical order on the masks (letter count, then `MaskLess`) before
+    // any pattern is built, so `Canonicalize` finds the result in order.
+    const obs::TraceSpan span = obs::Tracer::Global().StartSpan("mine.result");
+    std::sort(maximal.begin(), maximal.end(),
+              [&f1](const auto& a, const auto& b) {
+                const uint32_t la = a.first.Count();
+                const uint32_t lb = b.first.Count();
+                if (la != lb) return la < lb;
+                return f1.space.MaskLess(a.first, b.first);
+              });
+    const double denom = static_cast<double>(f1.num_periods);
+    for (const auto& [mask, count] : maximal) {
+      result.patterns().push_back(
+          {f1.space.MaskToPattern(mask), count,
+           denom > 0 ? static_cast<double>(count) / denom : 0.0});
+    }
+    result.Canonicalize();
   }
-
-  result.Canonicalize();
   result.stats().candidates_evaluated = search.oracle_calls();
   result.stats().hit_store_entries = store->num_entries();
   result.stats().tree_nodes =

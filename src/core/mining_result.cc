@@ -23,6 +23,13 @@ std::string MiningStats::ToJson() const {
   return w.str();
 }
 
+bool CanonicalLess(const FrequentPattern& a, const FrequentPattern& b) {
+  const uint32_t la = a.pattern.LetterCount();
+  const uint32_t lb = b.pattern.LetterCount();
+  if (la != lb) return la < lb;
+  return a.pattern < b.pattern;
+}
+
 const FrequentPattern* MiningResult::Find(const Pattern& pattern) const {
   for (const FrequentPattern& entry : patterns_) {
     if (entry.pattern == pattern) return &entry;
@@ -31,13 +38,10 @@ const FrequentPattern* MiningResult::Find(const Pattern& pattern) const {
 }
 
 void MiningResult::Canonicalize() {
-  std::sort(patterns_.begin(), patterns_.end(),
-            [](const FrequentPattern& a, const FrequentPattern& b) {
-              const uint32_t la = a.pattern.LetterCount();
-              const uint32_t lb = b.pattern.LetterCount();
-              if (la != lb) return la < lb;
-              return a.pattern < b.pattern;
-            });
+  if (std::is_sorted(patterns_.begin(), patterns_.end(), CanonicalLess)) {
+    return;
+  }
+  std::sort(patterns_.begin(), patterns_.end(), CanonicalLess);
 }
 
 std::string MiningResult::ToString(const tsdb::SymbolTable& symbols) const {

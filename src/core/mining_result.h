@@ -19,6 +19,10 @@ struct FrequentPattern {
   double confidence = 0.0;
 };
 
+/// The canonical result order: letter count ascending, then `Pattern`
+/// order. Both keys are read straight off the letter lists.
+bool CanonicalLess(const FrequentPattern& a, const FrequentPattern& b);
+
 /// Cost accounting for one mining run.
 struct MiningStats {
   /// Full scans over the series (the paper's headline metric).
@@ -64,7 +68,9 @@ class MiningResult {
   /// Pointer to the entry for `pattern`, or null when not frequent.
   const FrequentPattern* Find(const Pattern& pattern) const;
 
-  /// Sorts patterns canonically; miners call this before returning.
+  /// Sorts patterns canonically; miners call this before returning. The
+  /// miners already emit in canonical order, so this is normally one O(n)
+  /// check; any other permutation is sorted.
   void Canonicalize();
 
   /// Multi-line dump "pattern  count  confidence" for logs and examples.

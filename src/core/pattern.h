@@ -8,63 +8,80 @@
 
 #include "tsdb/symbol_table.h"
 #include "tsdb/time_series.h"
-#include "util/bitset.h"
 #include "util/status.h"
 
 namespace ppm {
 
+/// One letter of a pattern: a feature pinned to a period offset. Letters
+/// order canonically by position, then feature id.
+struct Letter {
+  uint32_t position = 0;
+  tsdb::FeatureId feature = 0;
+
+  friend bool operator==(const Letter& a, const Letter& b) {
+    return a.position == b.position && a.feature == b.feature;
+  }
+  friend bool operator<(const Letter& a, const Letter& b) {
+    if (a.position != b.position) return a.position < b.position;
+    return a.feature < b.feature;
+  }
+};
+
 /// A partial periodic pattern `s = s_1 ... s_p` (Section 2 of the paper).
 ///
-/// Each of the `p` positions is either the don't-care letter `*` (represented
-/// as an empty feature set) or a non-empty set of features that must all be
-/// present at that offset of a matching period segment.
+/// Each of the `p` positions is either the don't-care letter `*` or a
+/// non-empty set of features that must all be present at that offset of a
+/// matching period segment. The pattern is stored as its period plus the
+/// sorted, duplicate-free list of its letters, so every operation below is
+/// a walk or merge over that list, never over all `p` positions (except
+/// `Format`, which prints each `*`).
 ///
 /// Terminology used throughout the library:
 ///  * the *L-length* is the number of non-`*` positions ("i-pattern");
 ///  * a *letter* is one (position, feature) pair; a position holding the set
 ///    `{b1, b2}` contributes two letters;
-///  * `a` is a *subpattern* of `b` (same period) iff every position of `a`
-///    is a subset of the corresponding position of `b`.
+///  * `a` is a *subpattern* of `b` (same period) iff every letter of `a` is
+///    a letter of `b`.
 class Pattern {
  public:
   /// The all-`*` pattern of the given period (period may be zero for a
   /// default-constructed placeholder).
   Pattern() = default;
-  explicit Pattern(uint32_t period) : positions_(period) {}
+  explicit Pattern(uint32_t period) : period_(period) {}
+
+  /// The pattern with exactly `letters`, which must be sorted canonically,
+  /// duplicate-free, and have positions `< period`.
+  Pattern(uint32_t period, std::vector<Letter> letters);
 
   Pattern(const Pattern&) = default;
   Pattern& operator=(const Pattern&) = default;
   Pattern(Pattern&&) noexcept = default;
   Pattern& operator=(Pattern&&) noexcept = default;
 
-  uint32_t period() const { return static_cast<uint32_t>(positions_.size()); }
+  uint32_t period() const { return period_; }
 
-  /// Feature set at `position` (empty set means `*`).
-  const tsdb::FeatureSet& at(uint32_t position) const {
-    return positions_[position];
-  }
+  /// The letters, sorted by position then feature id.
+  const std::vector<Letter>& letters() const { return letters_; }
 
-  bool IsStarAt(uint32_t position) const { return positions_[position].Empty(); }
+  /// True iff `feature` is required at `position`.
+  bool HasLetter(uint32_t position, tsdb::FeatureId feature) const;
 
-  /// Adds feature `feature` at `position` (position must be `< period()`).
-  void AddLetter(uint32_t position, tsdb::FeatureId feature) {
-    positions_[position].Set(feature);
-  }
+  /// Adds feature `feature` at `position` (position must be `< period()`);
+  /// letters may be added in any order.
+  void AddLetter(uint32_t position, tsdb::FeatureId feature);
 
   /// Removes feature `feature` from `position` if present.
-  void RemoveLetter(uint32_t position, tsdb::FeatureId feature) {
-    positions_[position].Clear(feature);
-  }
+  void RemoveLetter(uint32_t position, tsdb::FeatureId feature);
 
   /// Number of non-`*` positions (the paper's L-length).
   uint32_t LLength() const;
 
   /// Total number of letters across all positions.
-  uint32_t LetterCount() const;
+  uint32_t LetterCount() const { return static_cast<uint32_t>(letters_.size()); }
 
   /// True when every position is `*` (the empty pattern, which is not a
   /// valid pattern per the paper but is a useful algebraic identity).
-  bool IsEmpty() const { return LetterCount() == 0; }
+  bool IsEmpty() const { return letters_.empty(); }
 
   /// True iff `*this` is a subpattern of `other` (periods must match; returns
   /// false otherwise). Every pattern is a subpattern of itself.
@@ -94,18 +111,21 @@ class Pattern {
   size_t Hash() const;
 
   friend bool operator==(const Pattern& a, const Pattern& b) {
-    return a.positions_ == b.positions_;
+    return a.period_ == b.period_ && a.letters_ == b.letters_;
   }
   friend bool operator!=(const Pattern& a, const Pattern& b) {
     return !(a == b);
   }
 
-  /// Canonical total order: by period, then positionwise bitset order.
-  /// Used to emit mining results in a stable order.
+  /// Canonical total order: by period, then position by position, where at
+  /// the first position whose feature sets differ the set holding the
+  /// highest feature of their symmetric difference is the greater (each
+  /// set read as a little-endian number, as `Bitset::operator<` does).
   friend bool operator<(const Pattern& a, const Pattern& b);
 
  private:
-  std::vector<tsdb::FeatureSet> positions_;
+  uint32_t period_ = 0;
+  std::vector<Letter> letters_;
 };
 
 /// Hash functor for unordered containers keyed by `Pattern`.

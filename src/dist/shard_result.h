@@ -26,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/letter_space.h"
+#include "core/pattern.h"
 #include "dist/shard_plan.h"
 #include "util/status.h"
 

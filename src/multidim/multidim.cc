@@ -57,25 +57,21 @@ std::string_view DimensionOf(std::string_view feature_name) {
 Pattern ProjectPattern(const Pattern& pattern,
                        const tsdb::SymbolTable& symbols,
                        std::string_view dimension) {
-  Pattern projected(pattern.period());
-  for (uint32_t position = 0; position < pattern.period(); ++position) {
-    pattern.at(position).ForEach([&](uint32_t feature) {
-      if (DimensionOf(symbols.NameOrPlaceholder(feature)) == dimension) {
-        projected.AddLetter(position, feature);
-      }
-    });
+  std::vector<Letter> projected;
+  for (const Letter& letter : pattern.letters()) {
+    if (DimensionOf(symbols.NameOrPlaceholder(letter.feature)) == dimension) {
+      projected.push_back(letter);
+    }
   }
-  return projected;
+  return Pattern(pattern.period(), std::move(projected));
 }
 
 uint32_t DimensionCount(const Pattern& pattern,
                         const tsdb::SymbolTable& symbols) {
   std::set<std::string> dimensions;
-  for (uint32_t position = 0; position < pattern.period(); ++position) {
-    pattern.at(position).ForEach([&](uint32_t feature) {
-      dimensions.insert(
-          std::string(DimensionOf(symbols.NameOrPlaceholder(feature))));
-    });
+  for (const Letter& letter : pattern.letters()) {
+    dimensions.insert(
+        std::string(DimensionOf(symbols.NameOrPlaceholder(letter.feature))));
   }
   return static_cast<uint32_t>(dimensions.size());
 }

@@ -45,12 +45,10 @@ Result<std::vector<LevelResult>> MineDrillDown(const tsdb::TimeSeries& series,
     frequent_above.clear();
     for (const FrequentPattern& entry : level.result.patterns()) {
       if (entry.pattern.LetterCount() != 1) continue;
-      for (uint32_t position = 0; position < entry.pattern.period();
-           ++position) {
-        entry.pattern.at(position).ForEach([&](uint32_t feature) {
-          frequent_above.insert(
-              {position, level.series.symbols().NameOrPlaceholder(feature)});
-        });
+      for (const Letter& letter : entry.pattern.letters()) {
+        frequent_above.insert(
+            {letter.position,
+             level.series.symbols().NameOrPlaceholder(letter.feature)});
       }
     }
     levels.push_back(std::move(level));

@@ -42,11 +42,6 @@ Status ValidateConstraints(const MiningOptions& options,
   return Status::OK();
 }
 
-bool ContainsLetter(const Pattern& pattern, const Letter& letter) {
-  if (letter.position >= pattern.period()) return false;
-  return pattern.at(letter.position).Test(letter.feature);
-}
-
 }  // namespace
 
 std::vector<FrequentPattern> FilterPatterns(const MiningResult& result,
@@ -60,7 +55,7 @@ std::vector<FrequentPattern> FilterPatterns(const MiningResult& result,
     }
     bool ok = true;
     for (const Letter& letter : constraints.required_letters) {
-      if (!ContainsLetter(entry.pattern, letter)) {
+      if (!entry.pattern.HasLetter(letter.position, letter.feature)) {
         ok = false;
         break;
       }
@@ -73,15 +68,13 @@ std::vector<FrequentPattern> FilterPatterns(const MiningResult& result,
       const std::unordered_set<tsdb::FeatureId> allowed(
           constraints.allowed_features.begin(),
           constraints.allowed_features.end());
-      for (uint32_t position = 0; ok && position < entry.pattern.period();
-           ++position) {
-        entry.pattern.at(position).ForEach([&](uint32_t feature) {
-          if (position < constraints.offset_low ||
-              position > constraints.offset_high) {
-            ok = false;
-          }
-          if (!allowed.empty() && !allowed.contains(feature)) ok = false;
-        });
+      for (const Letter& letter : entry.pattern.letters()) {
+        if (letter.position < constraints.offset_low ||
+            letter.position > constraints.offset_high ||
+            (!allowed.empty() && !allowed.contains(letter.feature))) {
+          ok = false;
+          break;
+        }
       }
       if (!ok) continue;
     }
@@ -95,13 +88,7 @@ std::vector<FrequentPattern> FilterPatterns(const MiningResult& result,
                        return a.confidence > b.confidence;
                      });
     filtered.resize(constraints.top_k);
-    std::stable_sort(filtered.begin(), filtered.end(),
-                     [](const FrequentPattern& a, const FrequentPattern& b) {
-                       const uint32_t la = a.pattern.LetterCount();
-                       const uint32_t lb = b.pattern.LetterCount();
-                       if (la != lb) return la < lb;
-                       return a.pattern < b.pattern;
-                     });
+    std::stable_sort(filtered.begin(), filtered.end(), CanonicalLess);
   }
   return filtered;
 }

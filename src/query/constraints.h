@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/letter_space.h"
 #include "core/miner.h"
 #include "core/mining_options.h"
 #include "core/mining_result.h"
+#include "core/pattern.h"
 #include "tsdb/series_source.h"
 #include "util/status.h"
 

@@ -30,28 +30,17 @@ Result<std::vector<PeriodicRule>> GenerateRules(const MiningResult& result,
   std::vector<PeriodicRule> rules;
   for (const FrequentPattern& entry : result.patterns()) {
     const Pattern& pattern = entry.pattern;
-    if (pattern.LLength() < 2) continue;
     const uint32_t period = pattern.period();
 
-    // Split between consecutive non-`*` positions: antecedent takes
-    // positions < split, consequent takes positions >= split.
-    for (uint32_t split = 1; split < period; ++split) {
-      if (pattern.IsStarAt(split - 1)) continue;  // Splits after a letter only.
-      Pattern antecedent(period);
-      Pattern consequent(period);
-      bool consequent_nonempty = false;
-      for (uint32_t position = 0; position < period; ++position) {
-        pattern.at(position).ForEach([&](uint32_t feature) {
-          if (position < split) {
-            antecedent.AddLetter(position, feature);
-          } else {
-            consequent.AddLetter(position, feature);
-            consequent_nonempty = true;
-          }
-        });
-      }
-      if (!consequent_nonempty) continue;
-
+    // One split per boundary between two non-`*` positions: the antecedent
+    // takes the letters before it, the consequent the rest.
+    const std::vector<Letter>& letters = pattern.letters();
+    for (size_t split = 1; split < letters.size(); ++split) {
+      if (letters[split].position == letters[split - 1].position) continue;
+      Pattern antecedent(period, std::vector<Letter>(letters.begin(),
+                                                     letters.begin() + split));
+      Pattern consequent(period, std::vector<Letter>(letters.begin() + split,
+                                                     letters.end()));
       const auto it = counts.find(antecedent);
       if (it == counts.end() || it->second == 0) {
         return Status::Internal(

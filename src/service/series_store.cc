@@ -211,14 +211,14 @@ Status SeriesStore::Append(
   if (new_symbols) {
     PPM_RETURN_IF_ERROR(CompactLocked(name, entry.get()));
   } else {
-    for (const tsdb::FeatureSet& instant : delta) {
-      const Status appended = entry->wal->Append(instant);
-      if (!appended.ok()) {
-        // Memory is ahead of disk; refuse further writes until a
-        // compaction reconciles them (reads still serve memory).
-        entry->poisoned = true;
-        return appended;
-      }
+    // One write and one fsync for the whole request (group commit); the
+    // ack below follows the fsync.
+    const Status appended = entry->wal->AppendBatch(delta);
+    if (!appended.ok()) {
+      // Memory is ahead of disk; refuse further writes until a
+      // compaction reconciles them (reads still serve memory).
+      entry->poisoned = true;
+      return appended;
     }
   }
   ++entry->version;

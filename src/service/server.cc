@@ -651,12 +651,9 @@ wire::Response PatternServer::Execute(const wire::Request& request,
       response.patterns.reserve(served->result.size());
       for (const FrequentPattern& frequent : served->result.patterns()) {
         wire::WirePattern pattern;
-        for (uint32_t position = 0; position < frequent.pattern.period();
-             ++position) {
-          frequent.pattern.at(position).ForEach(
-              [&pattern, position](uint32_t feature) {
-                pattern.letters.emplace_back(position, feature);
-              });
+        pattern.letters.reserve(frequent.pattern.LetterCount());
+        for (const Letter& letter : frequent.pattern.letters()) {
+          pattern.letters.emplace_back(letter.position, letter.feature);
         }
         pattern.count = frequent.count;
         pattern.confidence = frequent.confidence;

@@ -271,38 +271,46 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenImpl(const std::string& path,
   return writer;
 }
 
-Status WalWriter::Append(const FeatureSet& instant) {
-  const uint32_t too_large = instant.FindNext(kMaxWalFeatureId + 1);
-  if (too_large != FeatureSet::kNoBit) {
-    return Status::InvalidArgument("feature id beyond WAL cap: " +
-                                   std::to_string(too_large));
+Status WalWriter::AppendBatch(std::span<const FeatureSet> instants) {
+  for (const FeatureSet& instant : instants) {
+    const uint32_t too_large = instant.FindNext(kMaxWalFeatureId + 1);
+    if (too_large != FeatureSet::kNoBit) {
+      return Status::InvalidArgument("feature id beyond WAL cap: " +
+                                     std::to_string(too_large));
+    }
   }
+  std::string frames;
   std::string payload;
-  internal::EncodeInstant(instant, &payload);
-  std::string frame;
-  frame.reserve(kWalRecordHeaderBytes + payload.size());
-  bytes::PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  bytes::PutU64(&frame, next_seq_);
-  bytes::PutU32(&frame, crc32c::Value(frame.data(), 12));
-  bytes::PutU32(&frame, crc32c::Value(payload));
-  frame += payload;
+  for (uint64_t i = 0; i < instants.size(); ++i) {
+    payload.clear();
+    internal::EncodeInstant(instants[i], &payload);
+    const size_t begin = frames.size();
+    bytes::PutU32(&frames, static_cast<uint32_t>(payload.size()));
+    bytes::PutU64(&frames, next_seq_ + i);
+    bytes::PutU32(&frames, crc32c::Value(frames.data() + begin, 12));
+    bytes::PutU32(&frames, crc32c::Value(payload));
+    frames += payload;
 
-  if (FaultInjector::Global().ConsumeWalAppendCrash()) {
-    // Deterministic kill mid-write: half the frame reaches the file, no
-    // fsync, and the process dies like a SIGKILL would leave it.
-    out_.write(frame.data(), static_cast<std::streamsize>(frame.size() / 2));
-    out_.flush();
-    std::_Exit(137);
+    if (FaultInjector::Global().ConsumeWalAppendCrash()) {
+      // Deterministic kill mid-write: the records before this one and half
+      // of this one reach the file, no fsync, and the process dies like a
+      // SIGKILL would leave it.
+      const size_t torn = begin + (frames.size() - begin) / 2;
+      out_.write(frames.data(), static_cast<std::streamsize>(torn));
+      out_.flush();
+      std::_Exit(137);
+    }
   }
 
-  out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  out_.write(frames.data(), static_cast<std::streamsize>(frames.size()));
   out_.flush();
   if (!out_) return Status::IoError("WAL append failed: " + path_);
-  ++next_seq_;
-  obs::MetricsRegistry::Global().GetCounter("ppm.wal.appends").Inc();
+  next_seq_ += instants.size();
+  obs::MetricsRegistry::Global().GetCounter("ppm.wal.appends").Inc(
+      instants.size());
   obs::MetricsRegistry::Global()
       .GetCounter("ppm.wal.append_bytes")
-      .Inc(frame.size());
+      .Inc(frames.size());
   if (fsync_ == WalFsync::kAlways) PPM_RETURN_IF_ERROR(Sync());
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "tsdb/time_series.h"
@@ -47,10 +48,10 @@ inline constexpr uint32_t kMaxWalRecordBytes = 1u << 24;
 /// plausibility cap so hostile bytes cannot force huge bitsets).
 inline constexpr uint32_t kMaxWalFeatureId = 1u << 24;
 
-/// When `WalWriter::Append` flushes to stable storage.
+/// When `WalWriter::Append` / `AppendBatch` flush to stable storage.
 enum class WalFsync {
-  /// fsync after every appended record (no acknowledged instant is ever
-  /// lost; the default).
+  /// fsync at the end of every append call, before it returns (no
+  /// acknowledged instant is ever lost; the default).
   kAlways = 0,
   /// Never fsync on append (the OS decides; a crash may lose the tail back
   /// to the last `Sync()` -- recovery still converges, later).
@@ -130,7 +131,16 @@ class WalWriter {
 
   /// Appends one instant; with `WalFsync::kAlways` the record is on stable
   /// storage when this returns.
-  Status Append(const FeatureSet& instant);
+  Status Append(const FeatureSet& instant) { return AppendBatch({&instant, 1}); }
+
+  /// Appends `instants` as consecutive records (group commit): every record
+  /// is encoded into one buffer, written once and, with `WalFsync::kAlways`,
+  /// fsynced once, so all of them are on stable storage when this returns.
+  /// A crash mid-batch leaves a prefix of whole records and at most one torn
+  /// one -- what a crash between single-record appends leaves. Validation
+  /// runs before anything is written. The `crash_after_wal_appends` fault
+  /// seam still counts records, not batches.
+  Status AppendBatch(std::span<const FeatureSet> instants);
 
   /// Flushes and fsyncs everything appended so far (a checkpoint barrier
   /// under `WalFsync::kNever`).

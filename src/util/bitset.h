@@ -121,6 +121,33 @@ class Bitset {
     }
   }
 
+  /// Lowest index whose bit differs between `*this` and `other`, or
+  /// `kNoBit` when they are equal.
+  uint32_t FindFirstDifference(const Bitset& other) const {
+    const size_t n = words_.size() > other.words_.size() ? words_.size()
+                                                         : other.words_.size();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t diff = WordAt(i) ^ other.WordAt(i);
+      if (diff != 0) {
+        return static_cast<uint32_t>(i * 64 + __builtin_ctzll(diff));
+      }
+    }
+    return kNoBit;
+  }
+
+  /// Highest index below `end` whose bit differs between `*this` and
+  /// `other`, or `kNoBit` when none does.
+  uint32_t FindLastDifference(const Bitset& other, uint32_t end) const {
+    for (size_t i = (static_cast<size_t>(end) + 63) / 64; i-- > 0;) {
+      uint64_t diff = WordAt(i) ^ other.WordAt(i);
+      if (i == end / 64) diff &= (uint64_t{1} << (end & 63)) - 1;
+      if (diff != 0) {
+        return static_cast<uint32_t>(i * 64 + 63 - __builtin_clzll(diff));
+      }
+    }
+    return kNoBit;
+  }
+
   /// Invokes `fn(index)` for every set bit, in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
@@ -187,6 +214,8 @@ class Bitset {
   }
 
  private:
+  uint64_t WordAt(size_t i) const { return i < words_.size() ? words_[i] : 0; }
+
   std::vector<uint64_t> words_;
 };
 

@@ -37,8 +37,8 @@ TEST(LetterSpaceTest, MaxPattern) {
   EXPECT_EQ(cmax.period(), 5u);
   EXPECT_EQ(cmax.LetterCount(), 4u);
   EXPECT_EQ(cmax.LLength(), 3u);
-  EXPECT_TRUE(cmax.at(1).Test(1));
-  EXPECT_TRUE(cmax.at(1).Test(2));
+  EXPECT_TRUE(cmax.HasLetter(1, 1));
+  EXPECT_TRUE(cmax.HasLetter(1, 2));
 }
 
 TEST(LetterSpaceTest, MaskPatternRoundTrip) {

@@ -114,7 +114,7 @@ TEST(MultiPeriodTest, FindsPlantedPeriodsOnly) {
   ASSERT_NE(p3, nullptr);
   bool found_p3 = false;
   for (const auto& entry : p3->patterns()) {
-    if (entry.pattern.at(1).Test(0)) found_p3 = true;
+    if (entry.pattern.HasLetter(1, 0)) found_p3 = true;
   }
   EXPECT_TRUE(found_p3);
 
@@ -123,7 +123,7 @@ TEST(MultiPeriodTest, FindsPlantedPeriodsOnly) {
   ASSERT_NE(p4, nullptr);
   bool found_p4 = false;
   for (const auto& entry : p4->patterns()) {
-    if (entry.pattern.at(2).Test(1)) found_p4 = true;
+    if (entry.pattern.HasLetter(2, 1)) found_p4 = true;
   }
   EXPECT_TRUE(found_p4);
 

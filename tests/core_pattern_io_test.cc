@@ -121,8 +121,8 @@ TEST_F(PatternIoTest, ApplyRecountsOnNewSeries) {
       EXPECT_EQ(row.new_count, 3u);
       EXPECT_DOUBLE_EQ(row.new_confidence, 0.3);
     }
-    if (row.pattern.LetterCount() == 1 && row.pattern.at(0).Count() == 1 &&
-        !row.pattern.at(0).Empty() && row.pattern.IsStarAt(1)) {  // a
+    if (row.pattern.LetterCount() == 1 &&
+        row.pattern.letters().front().position == 0) {  // a
       EXPECT_DOUBLE_EQ(row.new_confidence, 1.0);
     }
   }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "core/letter_space.h"
+#include "util/bitset.h"
 #include "util/random.h"
 
 namespace ppm {
@@ -13,13 +15,54 @@ namespace {
 using tsdb::SymbolTable;
 using tsdb::TimeSeries;
 
+/// The canonical order as first defined, on one `Bitset` per position (the
+/// pattern representation before letter lists). Kept as the reference the
+/// letter-list and mask comparators must reproduce exactly.
+bool ReferenceLess(const Pattern& a, const Pattern& b) {
+  if (a.period() != b.period()) return a.period() < b.period();
+  std::vector<Bitset> x(a.period()), y(b.period());
+  for (const Letter& letter : a.letters()) x[letter.position].Set(letter.feature);
+  for (const Letter& letter : b.letters()) y[letter.position].Set(letter.feature);
+  for (uint32_t i = 0; i < a.period(); ++i) {
+    if (x[i] != y[i]) return x[i] < y[i];
+  }
+  return false;
+}
+
+/// A random pattern: stars, single letters and multi-feature positions,
+/// with feature ids on both sides of a 64-bit word boundary.
+Pattern RandomPattern(Rng* rng, uint32_t period) {
+  Pattern pattern(period);
+  for (uint32_t position = 0; position < period; ++position) {
+    const uint64_t letters = rng->NextBelow(4);
+    for (uint64_t i = 0; i < letters; ++i) {
+      pattern.AddLetter(position,
+                        static_cast<tsdb::FeatureId>(rng->NextBelow(70)));
+    }
+  }
+  return pattern;
+}
+
+/// `base` with one letter added or removed: pairs that share a long prefix.
+Pattern NearMiss(Rng* rng, const Pattern& base) {
+  Pattern pattern = base;
+  if (!base.IsEmpty() && rng->NextBool(0.5)) {
+    const Letter& letter = base.letters()[rng->NextBelow(base.LetterCount())];
+    pattern.RemoveLetter(letter.position, letter.feature);
+  } else {
+    pattern.AddLetter(static_cast<uint32_t>(rng->NextBelow(base.period())),
+                      static_cast<tsdb::FeatureId>(rng->NextBelow(70)));
+  }
+  return pattern;
+}
+
 TEST(PatternTest, AllStarByDefault) {
   Pattern pattern(4);
   EXPECT_EQ(pattern.period(), 4u);
   EXPECT_EQ(pattern.LLength(), 0u);
   EXPECT_EQ(pattern.LetterCount(), 0u);
   EXPECT_TRUE(pattern.IsEmpty());
-  for (uint32_t i = 0; i < 4; ++i) EXPECT_TRUE(pattern.IsStarAt(i));
+  EXPECT_TRUE(pattern.letters().empty());
 }
 
 TEST(PatternTest, LLengthVsLetterCount) {
@@ -31,8 +74,10 @@ TEST(PatternTest, LLengthVsLetterCount) {
   pattern.AddLetter(3, 3);  // d
   EXPECT_EQ(pattern.LLength(), 3u);
   EXPECT_EQ(pattern.LetterCount(), 4u);
-  EXPECT_FALSE(pattern.IsStarAt(0));
-  EXPECT_TRUE(pattern.IsStarAt(2));
+  const std::vector<Letter> expected = {{0, 0}, {1, 1}, {1, 2}, {3, 3}};
+  EXPECT_EQ(pattern.letters(), expected);
+  EXPECT_TRUE(pattern.HasLetter(1, 2));
+  EXPECT_FALSE(pattern.HasLetter(2, 2));
 }
 
 TEST(PatternTest, RemoveLetter) {
@@ -103,7 +148,7 @@ TEST(PatternTest, UnionAndIntersect) {
   EXPECT_EQ(i.LetterCount(), 1u);
   EXPECT_TRUE(i.IsSubpatternOf(a));
   EXPECT_TRUE(i.IsSubpatternOf(b));
-  EXPECT_TRUE(i.at(1).Test(2));
+  EXPECT_TRUE(i.HasLetter(1, 2));
 }
 
 TEST(PatternTest, FormatSingleAndGroupAndStar) {
@@ -238,6 +283,61 @@ TEST(PatternTest, CanonicalOrderIsStrictWeak) {
   }
   // Shorter periods order first.
   EXPECT_TRUE(Pattern(2) < Pattern(3));
+}
+
+TEST(PatternOrderTest, LetterListOrderMatchesReference) {
+  Rng rng(20261020);
+  for (int round = 0; round < 20000; ++round) {
+    const uint32_t period = 1 + static_cast<uint32_t>(rng.NextBelow(5));
+    const Pattern a = RandomPattern(&rng, period);
+    const Pattern b =
+        rng.NextBool(0.2)
+            ? RandomPattern(&rng, 1 + static_cast<uint32_t>(rng.NextBelow(5)))
+            : (rng.NextBool(0.5) ? NearMiss(&rng, a) : RandomPattern(&rng, period));
+    ASSERT_EQ(a < b, ReferenceLess(a, b))
+        << "a=" << a.Format(SymbolTable()) << " b=" << b.Format(SymbolTable());
+    ASSERT_EQ(b < a, ReferenceLess(b, a));
+    ASSERT_EQ(a == b, !ReferenceLess(a, b) && !ReferenceLess(b, a));
+  }
+}
+
+TEST(PatternOrderTest, MaskOrderMatchesReference) {
+  Rng rng(77);
+  for (int space_round = 0; space_round < 40; ++space_round) {
+    // Up to 6 x 25 letters, so masks often span more than one word.
+    const uint32_t period = 1 + static_cast<uint32_t>(rng.NextBelow(6));
+    std::vector<Letter> letters;
+    for (uint32_t position = 0; position < period; ++position) {
+      for (tsdb::FeatureId feature = 0; feature < 70; ++feature) {
+        if (rng.NextBool(0.35)) letters.push_back({position, feature});
+      }
+    }
+    const LetterSpace space(period, letters);
+    const auto random_mask = [&](double density) {
+      Bitset mask(space.size());
+      for (uint32_t i = 0; i < space.size(); ++i) {
+        if (rng.NextBool(density)) mask.Set(i);
+      }
+      return mask;
+    };
+    for (int round = 0; round < 500; ++round) {
+      const double density = rng.NextBool(0.5) ? 0.05 : 0.5;
+      const Bitset a = random_mask(density);
+      Bitset b = rng.NextBool(0.5) ? random_mask(density) : a;
+      if (space.size() > 0 && rng.NextBool(0.5)) {
+        const uint32_t flip = static_cast<uint32_t>(rng.NextBelow(space.size()));
+        if (b.Test(flip)) {
+          b.Clear(flip);
+        } else {
+          b.Set(flip);
+        }
+      }
+      const Pattern pa = space.MaskToPattern(a);
+      const Pattern pb = space.MaskToPattern(b);
+      ASSERT_EQ(space.MaskLess(a, b), ReferenceLess(pa, pb));
+      ASSERT_EQ(space.MaskLess(b, a), ReferenceLess(pb, pa));
+    }
+  }
 }
 
 }  // namespace

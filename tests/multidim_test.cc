@@ -56,7 +56,7 @@ TEST(ProjectionTest, SlicesPatternByDimension) {
   EXPECT_EQ(weather.LetterCount(), 2u);
   const Pattern traffic = ProjectPattern(pattern, series->symbols(), "t");
   EXPECT_EQ(traffic.LetterCount(), 1u);
-  EXPECT_TRUE(traffic.at(0).Test(*series->symbols().Lookup("t:jam")));
+  EXPECT_TRUE(traffic.HasLetter(0, *series->symbols().Lookup("t:jam")));
   EXPECT_TRUE(weather.IsSubpatternOf(pattern));
   EXPECT_EQ(DimensionCount(pattern, series->symbols()), 2u);
   EXPECT_EQ(DimensionCount(weather, series->symbols()), 1u);
@@ -102,7 +102,7 @@ TEST(CrossDimensionalMiningTest, FindsInterDimensionRegularity) {
     const auto jam = series->symbols().Lookup("traffic:jam");
     ASSERT_TRUE(cold.ok());
     ASSERT_TRUE(jam.ok());
-    if (entry.pattern.at(0).Test(*cold) && entry.pattern.at(0).Test(*jam)) {
+    if (entry.pattern.HasLetter(0, *cold) && entry.pattern.HasLetter(0, *jam)) {
       found = true;
       EXPECT_GE(entry.confidence, 0.75);
     }

@@ -208,11 +208,10 @@ TEST(DrillDownPropertyTest, LeafResultMatchesFilteredUnrestrictedMining) {
     std::set<std::pair<uint32_t, std::string>> frequent_parents;
     for (const auto& entry : top.result.patterns()) {
       if (entry.pattern.LetterCount() != 1) continue;
-      for (uint32_t position = 0; position < 4; ++position) {
-        entry.pattern.at(position).ForEach([&](uint32_t id) {
-          frequent_parents.insert(
-              {position, top.series.symbols().NameOrPlaceholder(id)});
-        });
+      for (const Letter& letter : entry.pattern.letters()) {
+        frequent_parents.insert(
+            {letter.position,
+             top.series.symbols().NameOrPlaceholder(letter.feature)});
       }
     }
 
@@ -222,14 +221,12 @@ TEST(DrillDownPropertyTest, LeafResultMatchesFilteredUnrestrictedMining) {
     std::map<std::string, uint64_t> expected;
     for (const auto& entry : unrestricted->patterns()) {
       bool admitted = true;
-      for (uint32_t position = 0; admitted && position < 4; ++position) {
-        entry.pattern.at(position).ForEach([&](uint32_t id) {
-          const std::string parent = taxonomy.ParentOf(
-              series.symbols().NameOrPlaceholder(id));
-          if (!frequent_parents.contains({position, parent})) {
-            admitted = false;
-          }
-        });
+      for (const Letter& letter : entry.pattern.letters()) {
+        const std::string parent = taxonomy.ParentOf(
+            series.symbols().NameOrPlaceholder(letter.feature));
+        if (!frequent_parents.contains({letter.position, parent})) {
+          admitted = false;
+        }
       }
       if (admitted) {
         expected[entry.pattern.Format(series.symbols())] = entry.count;

@@ -56,9 +56,8 @@ TEST(ConstrainedMineTest, AllowedFeaturesPushdown) {
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->empty());
   for (const auto& entry : result->patterns()) {
-    for (uint32_t position = 0; position < 4; ++position) {
-      entry.pattern.at(position).ForEach(
-          [](uint32_t feature) { EXPECT_LE(feature, 1u); });
+    for (const Letter& letter : entry.pattern.letters()) {
+      EXPECT_LE(letter.feature, 1u);
     }
   }
   // Pushdown shrank F_1 to the allowed letters.
@@ -75,8 +74,10 @@ TEST(ConstrainedMineTest, OffsetWindowPushdown) {
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->empty());
   for (const auto& entry : result->patterns()) {
-    EXPECT_TRUE(entry.pattern.IsStarAt(0));
-    EXPECT_TRUE(entry.pattern.IsStarAt(3));
+    for (const Letter& letter : entry.pattern.letters()) {
+      EXPECT_GE(letter.position, 1u);
+      EXPECT_LE(letter.position, 2u);
+    }
   }
 }
 
@@ -89,7 +90,7 @@ TEST(ConstrainedMineTest, RequiredLetters) {
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->empty());
   for (const auto& entry : result->patterns()) {
-    EXPECT_TRUE(entry.pattern.at(0).Test(0));
+    EXPECT_TRUE(entry.pattern.HasLetter(0, 0));
   }
 }
 
@@ -120,8 +121,8 @@ TEST(ConstrainedMineTest, TopKKeepsHighestConfidence) {
   // The two strongest letters are a@0 (1.0) and b@1 (~0.9).
   bool has_a = false, has_b = false;
   for (const auto& entry : result->patterns()) {
-    if (entry.pattern.at(0).Test(0)) has_a = true;
-    if (entry.pattern.at(1).Test(1)) has_b = true;
+    if (entry.pattern.HasLetter(0, 0)) has_a = true;
+    if (entry.pattern.HasLetter(1, 1)) has_b = true;
   }
   EXPECT_TRUE(has_a);
   EXPECT_TRUE(has_b);
@@ -166,9 +167,8 @@ TEST(ConstrainedMineTest, ComposesWithUserLetterFilter) {
   ASSERT_TRUE(result.ok());
   // Intersection: only a.
   for (const auto& entry : result->patterns()) {
-    for (uint32_t position = 0; position < 4; ++position) {
-      entry.pattern.at(position).ForEach(
-          [](uint32_t feature) { EXPECT_EQ(feature, 0u); });
+    for (const Letter& letter : entry.pattern.letters()) {
+      EXPECT_EQ(letter.feature, 0u);
     }
   }
 }

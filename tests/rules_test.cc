@@ -195,15 +195,10 @@ TEST(RulesPropertyTest, RulesConsistentWithMinedCounts) {
       EXPECT_LE(rule.rule_confidence, 1.0);
       // Temporal split: every antecedent letter precedes every consequent
       // letter.
-      uint32_t last_antecedent = 0, first_consequent = UINT32_MAX;
-      for (uint32_t position = 0; position < 4; ++position) {
-        if (!rule.antecedent.IsStarAt(position)) last_antecedent = position;
-        if (!rule.consequent.IsStarAt(position) &&
-            first_consequent == UINT32_MAX) {
-          first_consequent = position;
-        }
-      }
-      EXPECT_LT(last_antecedent, first_consequent);
+      ASSERT_FALSE(rule.antecedent.IsEmpty());
+      ASSERT_FALSE(rule.consequent.IsEmpty());
+      EXPECT_LT(rule.antecedent.letters().back().position,
+                rule.consequent.letters().front().position);
     }
   }
 }

@@ -81,11 +81,8 @@ TEST_P(GeneratorSweepTest, MinedOutputMatchesGroundTruth) {
   for (const auto& entry : result->patterns()) {
     uint32_t anchor_letters = 0;
     uint32_t independent_letters = 0;
-    for (uint32_t position = 0; position < entry.pattern.period();
-         ++position) {
-      anchor_letters += position < mpl ? entry.pattern.at(position).Count() : 0;
-      independent_letters +=
-          position >= mpl ? entry.pattern.at(position).Count() : 0;
+    for (const Letter& letter : entry.pattern.letters()) {
+      ++(letter.position < mpl ? anchor_letters : independent_letters);
     }
     EXPECT_LE(anchor_letters, mpl);
     EXPECT_LE(independent_letters, 1u)

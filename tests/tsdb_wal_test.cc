@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "tsdb/fault_injection.h"
 #include "util/crc32c.h"
 #include "util/status.h"
 
@@ -144,6 +145,69 @@ TEST_F(WalTest, FsyncAlwaysSyncsEveryAppend) {
   const uint64_t* appends = snapshot.FindCounter("ppm.wal.appends");
   ASSERT_NE(appends, nullptr);
   EXPECT_EQ(*appends, 5u);
+}
+
+TEST_F(WalTest, AppendBatchWritesTheBytesOfSingleAppends) {
+  const std::vector<FeatureSet> written = WriteWal(25);
+  const std::string single = FileBytes(path_);
+  std::remove(path_.c_str());
+  {
+    auto writer = WalWriter::Create(path_, WalFsync::kNever);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->AppendBatch({written.data(), 10}).ok());
+    ASSERT_TRUE((*writer)->AppendBatch({written.data() + 10, 15}).ok());
+    EXPECT_EQ((*writer)->next_seq(), 25u);
+    ASSERT_TRUE((*writer)->Sync().ok());
+  }
+  EXPECT_EQ(FileBytes(path_), single);
+}
+
+TEST_F(WalTest, AppendBatchSyncsOncePerCall) {
+  obs::MetricsRegistry::Global().Reset();
+  std::vector<FeatureSet> batch;
+  for (uint64_t t = 0; t < 5; ++t) batch.push_back(InstantFor(t));
+  auto writer = WalWriter::Create(path_, WalFsync::kAlways);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  ASSERT_TRUE((*writer)->AppendBatch(batch).ok());
+  const auto snapshot = obs::MetricsRegistry::Global().Snapshot();
+  // One for file creation, one for the whole batch.
+  EXPECT_EQ(*snapshot.FindCounter("ppm.wal.fsyncs"), 2u);
+  EXPECT_EQ(*snapshot.FindCounter("ppm.wal.appends"), 5u);
+}
+
+TEST_F(WalTest, AppendBatchValidatesBeforeWriting) {
+  std::vector<FeatureSet> batch(2);
+  batch[0].Set(1);
+  batch[1].Set(kMaxWalFeatureId + 1);
+  auto writer = WalWriter::Create(path_, WalFsync::kNever);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  EXPECT_EQ((*writer)->AppendBatch(batch).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*writer)->next_seq(), 0u);
+  EXPECT_EQ(FileBytes(path_).size(), sizeof(kWalMagic));
+}
+
+// The crash seam counts records, not batches: a kill at the 3rd record of
+// a 5-record batch leaves 2 whole records and a torn third.
+TEST_F(WalTest, CrashSeamCountsRecordsInsideABatch) {
+  std::vector<FeatureSet> batch;
+  for (uint64_t t = 0; t < 5; ++t) batch.push_back(InstantFor(t));
+  EXPECT_EXIT(
+      {
+        auto writer = WalWriter::Create(path_, WalFsync::kAlways);
+        FaultPlan plan;
+        plan.crash_after_wal_appends = 3;
+        ScopedFaultInjection inject(plan);
+        (void)(*writer)->AppendBatch(batch);
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(137), "");
+  Result<WalReplayInfo> info = Status::Internal("unset");
+  const std::vector<FeatureSet> delivered = Collect(path_, 0, &info);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_TRUE(info->torn_tail);
+  EXPECT_EQ(delivered,
+            std::vector<FeatureSet>(batch.begin(), batch.begin() + 2));
 }
 
 TEST_F(WalTest, FsyncNeverOnlySyncsExplicitly) {
